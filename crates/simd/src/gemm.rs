@@ -28,7 +28,7 @@
 //! **exactly** the field rules of `dvafs_arith::subword::pack_lanes`
 //! (lane 0 at the LSBs, two's-complement fields of
 //! [`SubwordMode::lane_bits`] each — the correspondence is pinned by
-//! test). The packed dot kernels re-expand lanes on the fly and keep the
+//! test). [`gemm_packed`] re-expands lanes on the fly and keeps the
 //! accumulation exact:
 //!
 //! * every 16-lane step forms pairwise `i32` sums of products (the
@@ -37,6 +37,10 @@
 //!   blocks accumulate in `i32` before being widened to `i64` — the
 //!   block length per mode pair is chosen so the `i32` partial can never
 //!   wrap;
+//! * full-width `X1 x X1` pair sums fit `i32` one at a time but not in
+//!   runs, so they accumulate as a hi/lo split: `hi` sums `p >> 16`, `lo`
+//!   sums `p` wrapping, and `2^16·hi + ((lo - 2^16·hi) mod 2^32)` is the
+//!   exact sum while a block stays under `2^16` steps;
 //! * the one full-width corner — both pairs of a step summing
 //!   `MIN·MIN + MIN·MIN = 2^31` — is corrected explicitly: panels record
 //!   at pack time whether they contain `-2^(w-1)`, and only when *both*
@@ -46,11 +50,13 @@
 //! The result is bit-identical to [`dot_i16`]/[`gemm_i16`] for every
 //! input `pack_lanes` accepts, which is what lets the `GemmPacked` NN
 //! kernel join the `Naive == Gemm` equivalence net without moving a
-//! number. On x86-64 hosts with AVX2 the packed kernels dispatch to
-//! `vpmaddwd`-based inner loops at run time (the workspace targets
-//! baseline x86-64, so this is a run-time feature check, not a compile
-//! flag); everywhere else a scalar decode loop computes the same exact
-//! sums.
+//! number. On x86-64 hosts with AVX2 (a run-time feature check: the
+//! workspace targets baseline x86-64) the multiply runs as a
+//! register-tiled micro-kernel: every 16-lane step loads and decodes a
+//! block of weight rows and a block of activation rows **once** and
+//! issues one `vpmaddwd` per row pair, so each decode serves a whole row
+//! or column of the tile instead of a single output. Everywhere else a
+//! scalar decode loop computes the same exact sums one output at a time.
 
 use dvafs_arith::SubwordMode;
 
@@ -465,7 +471,7 @@ fn decode_step(words: &[u16], step: usize, mode: SubwordMode, out: &mut [i16; PA
 /// The portable packed dot inner loop: decode 16 lanes per side per step,
 /// widen every product to `i64`. Exact for the full `pack_lanes` range;
 /// used when the AVX2 path is unavailable (and as the oracle the AVX2
-/// kernels are tested against).
+/// tile is tested against).
 fn dot_rows_scalar(a: &[u16], ma: SubwordMode, b: &[u16], mb: SubwordMode, steps: usize) -> i64 {
     let mut acc = 0i64;
     let mut ba = [0i16; PACK_STEP_LANES];
@@ -480,66 +486,244 @@ fn dot_rows_scalar(a: &[u16], ma: SubwordMode, b: &[u16], mb: SubwordMode, steps
     acc
 }
 
-/// AVX2 packed dot kernels, dispatched at run time (the workspace builds
-/// for baseline x86-64). `unsafe` is confined to this module: every
-/// function is gated behind `is_x86_feature_detected!("avx2")` by the
-/// [`dot_rows`] dispatcher, and all pointer arithmetic walks panel rows
-/// whose lengths the dispatcher derives from the panels themselves.
+/// The portable [`gemm_packed`] driver: one [`dot_rows_scalar`] per
+/// output. Hosts without AVX2 run it; on AVX2 hosts the unit tests call
+/// it directly and compare it with the tiled kernel.
+fn gemm_packed_scalar(a: &PackedPanel, bt: &PackedPanel, out: &mut [i64]) {
+    let n = bt.rows();
+    for i in 0..a.rows() {
+        for j in 0..n {
+            out[i * n + j] = dot_rows_scalar(
+                a.row_words(i),
+                a.mode(),
+                bt.row_words(j),
+                bt.mode(),
+                a.steps(),
+            );
+        }
+    }
+}
+
+/// The AVX2 register-tiled packed GEMM, dispatched at run time (the
+/// workspace builds for baseline x86-64). `unsafe` is confined to this
+/// module: [`gemm`](avx2::gemm) is only called after
+/// `is_x86_feature_detected!("avx2")`, and every pointer walks panel rows
+/// whose lengths [`Rows`](avx2::Rows) derives from the panels themselves.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx2 {
-    use super::{PackedPanel, SubwordMode};
+    use super::{PackedPanel, SubwordMode, PACK_STEP_LANES};
     use std::arch::x86_64::{
         __m128i, __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_and_si256,
         _mm256_castsi256_si128, _mm256_cmpeq_epi16, _mm256_cmpeq_epi32, _mm256_cvtepi32_epi64,
         _mm256_cvtepi8_epi16, _mm256_extracti128_si256, _mm256_loadu_si256, _mm256_madd_epi16,
-        _mm256_set1_epi16, _mm256_set1_epi32, _mm256_setzero_si256, _mm256_storeu_si256,
-        _mm_and_si128, _mm_loadl_epi64, _mm_loadu_si128, _mm_set1_epi8, _mm_srli_epi16,
-        _mm_sub_epi8, _mm_unpacklo_epi8, _mm_xor_si128,
+        _mm256_mullo_epi16, _mm256_permute2x128_si256, _mm256_set1_epi16, _mm256_set1_epi32,
+        _mm256_set1_epi64x, _mm256_setr_epi8, _mm256_setzero_si256, _mm256_shuffle_epi8,
+        _mm256_slli_epi32, _mm256_slli_epi64, _mm256_srai_epi16, _mm256_srai_epi32,
+        _mm256_storeu_si256, _mm256_sub_epi32, _mm256_unpackhi_epi32, _mm256_unpackhi_epi64,
+        _mm256_unpacklo_epi32, _mm256_unpacklo_epi64, _mm_add_epi64, _mm_cvtsi128_si64,
+        _mm_loadu_si128, _mm_unpackhi_epi64,
     };
+    use std::ops::Range;
 
-    /// 16 `i16` lanes from an `X1` row segment (16 words).
-    ///
-    /// # Safety
-    ///
-    /// `p` must be readable for 16 `u16`s.
-    #[inline(always)]
-    unsafe fn lanes_x1(p: *const u16) -> __m256i {
-        _mm256_loadu_si256(p.cast::<__m256i>())
+    /// Consecutive rows of a [`PackedPanel`]: one operand of [`gemm`].
+    pub(super) struct Rows<'a> {
+        words: &'a [u16],
+        mode: SubwordMode,
+        stride: usize,
+        rows: usize,
+        steps: usize,
+        has_min: bool,
     }
 
-    /// 16 `i16` lanes from an `X2` row segment (8 words = 16 byte
-    /// fields), sign-extended.
-    ///
-    /// # Safety
-    ///
-    /// `p` must be readable for 8 `u16`s.
-    #[inline(always)]
-    unsafe fn lanes_x2(p: *const u16) -> __m256i {
-        _mm256_cvtepi8_epi16(_mm_loadu_si128(p.cast::<__m128i>()))
+    impl<'a> Rows<'a> {
+        /// Rows `range` of `panel`.
+        ///
+        /// # Panics
+        ///
+        /// Panics when `range` runs past the panel.
+        pub(super) fn of(panel: &'a PackedPanel, range: Range<usize>) -> Self {
+            let stride = panel.words_per_row();
+            Rows {
+                words: &panel.words[range.start * stride..range.end * stride],
+                mode: panel.mode(),
+                stride,
+                rows: range.len(),
+                steps: panel.steps(),
+                has_min: panel.has_min,
+            }
+        }
+
+        /// Pointer to the first word of row `i` (`i < rows`).
+        fn row(&self, i: usize) -> *const u16 {
+            self.words[i * self.stride..].as_ptr()
+        }
     }
 
-    /// 16 `i16` lanes from an `X4` row segment (4 words = 16 nibble
-    /// fields): split each byte into its two nibbles (low nibble = even
-    /// lane, matching the little-endian `pack_lanes` layout), sign-extend
-    /// the 4-bit fields via the `(x ^ 8) - 8` identity, then widen.
-    ///
-    /// # Safety
-    ///
-    /// `p` must be readable for 4 `u16`s.
-    #[inline(always)]
-    unsafe fn lanes_x4(p: *const u16) -> __m256i {
-        let v = _mm_loadl_epi64(p.cast::<__m128i>());
-        let nib_mask = _mm_set1_epi8(0x0F);
-        let lo = _mm_and_si128(v, nib_mask);
-        let hi = _mm_and_si128(_mm_srli_epi16::<4>(v), nib_mask);
-        let inter = _mm_unpacklo_epi8(lo, hi);
-        let eight = _mm_set1_epi8(8);
-        let signed = _mm_sub_epi8(_mm_xor_si128(inter, eight), eight);
-        _mm256_cvtepi8_epi16(signed)
+    /// One [`SubwordMode`]'s lane expander: a 16-lane step occupies
+    /// `WORDS` lane words and decodes to 16 sign-extended `i16` lanes.
+    trait Lanes {
+        const WORDS: usize;
+
+        /// # Safety
+        ///
+        /// AVX2 must be available; `p` readable for `WORDS` `u16`s.
+        unsafe fn load(p: *const u16) -> __m256i;
     }
 
-    /// Widens 8 `i32` pair sums into 4 `i64` lanes (both 128-bit halves
+    /// `X1` rows: each word is one lane.
+    struct Sub16;
+    /// `X2` rows: each word holds two 8-bit lanes.
+    struct Sub8;
+    /// `X4` rows: each word holds four 4-bit lanes.
+    struct Sub4;
+
+    impl Lanes for Sub16 {
+        const WORDS: usize = 16;
+
+        #[inline(always)]
+        unsafe fn load(p: *const u16) -> __m256i {
+            _mm256_loadu_si256(p.cast::<__m256i>())
+        }
+    }
+
+    impl Lanes for Sub8 {
+        const WORDS: usize = 8;
+
+        #[inline(always)]
+        unsafe fn load(p: *const u16) -> __m256i {
+            _mm256_cvtepi8_epi16(_mm_loadu_si128(p.cast::<__m128i>()))
+        }
+    }
+
+    impl Lanes for Sub4 {
+        const WORDS: usize = 4;
+
+        /// Copies byte `l / 2` into the high byte of lane `l`, moves the
+        /// even lanes' low nibble up to bits 12..16 (`x 16`; the odd lanes'
+        /// high nibble is already there, `x 1`), then sign-extends the
+        /// 4-bit field with an arithmetic shift — low nibble = even lane,
+        /// matching the little-endian `pack_lanes` layout.
+        #[inline(always)]
+        unsafe fn load(p: *const u16) -> __m256i {
+            let bytes = _mm256_set1_epi64x(p.cast::<i64>().read_unaligned());
+            let spread = _mm256_shuffle_epi8(
+                bytes,
+                _mm256_setr_epi8(
+                    -1, 0, -1, 0, -1, 1, -1, 1, -1, 2, -1, 2, -1, 3, -1, 3, //
+                    -1, 4, -1, 4, -1, 5, -1, 5, -1, 6, -1, 6, -1, 7, -1, 7,
+                ),
+            );
+            let top = _mm256_mullo_epi16(spread, _mm256_set1_epi32(0x0001_0010));
+            _mm256_srai_epi16::<12>(top)
+        }
+    }
+
+    /// An exact accumulation rule for one output's `vpmaddwd` pair sums
+    /// (8 `i32` lanes per step).
+    trait Rule {
+        /// Per-output accumulator, held in registers across a block.
+        type Acc: Copy;
+        /// Most steps one block may absorb before it is flushed into
+        /// `i64`.
+        const BLOCK: usize;
+
+        /// # Safety
+        ///
+        /// AVX2 must be available (as for the other methods).
+        unsafe fn zero() -> Self::Acc;
+        unsafe fn add(acc: Self::Acc, p: __m256i) -> Self::Acc;
+        /// The exact sums of four blocks (four outputs) as 4 `i64`
+        /// lanes: their horizontal reductions share the shuffles. A
+        /// [`zero`](Self::zero) block sums to 0.
+        unsafe fn flush4(acc: [Self::Acc; 4]) -> __m256i;
+    }
+
+    /// Narrow mode pairs: pair sums add in `i32` for `SPILL` steps, sized
+    /// so the partial can never wrap at the pair's operand bounds.
+    struct Block32<const SPILL: usize>;
+
+    impl<const SPILL: usize> Rule for Block32<SPILL> {
+        type Acc = __m256i;
+        const BLOCK: usize = SPILL;
+
+        #[inline(always)]
+        unsafe fn zero() -> __m256i {
+            _mm256_setzero_si256()
+        }
+
+        #[inline(always)]
+        unsafe fn add(acc: __m256i, p: __m256i) -> __m256i {
+            _mm256_add_epi32(acc, p)
+        }
+
+        #[inline(always)]
+        unsafe fn flush4([a0, a1, a2, a3]: [__m256i; 4]) -> __m256i {
+            // A partial may sit at 2^30, so lanes widen before they add.
+            hsum4_epi64(
+                widen_pairs(a0),
+                widen_pairs(a1),
+                widen_pairs(a2),
+                widen_pairs(a3),
+            )
+        }
+    }
+
+    /// `X1 x X1` without the `MIN x MIN` corner: every pair sum `p` fits
+    /// `i32`, but a run of them does not. Split `p = 2^16·(p >> 16) + L`
+    /// with `0 <= L < 2^16`: `hi` sums the arithmetic high halves (each at
+    /// most `2^15` in magnitude) and `lo` sums `p` wrapping, so per lane
+    /// the exact sum is `2^16·hi + ((lo - 2^16·hi) mod 2^32)`. The split
+    /// is exact below `2^16` steps; blocks stop at `2^12 - 1` so both
+    /// halves stay under `2^28` per lane and a whole 8-lane sum of either
+    /// still fits `i32`, which lets the flush reduce in 32 bits.
+    struct HiLo;
+
+    impl HiLo {
+        /// `(hi, ΣL)` per lane, both non-wrapping `i32` (see [`HiLo`]).
+        ///
+        /// # Safety
+        ///
+        /// AVX2 only.
+        #[inline(always)]
+        unsafe fn halves([hi, lo]: [__m256i; 2]) -> (__m256i, __m256i) {
+            (hi, _mm256_sub_epi32(lo, _mm256_slli_epi32::<16>(hi)))
+        }
+    }
+
+    impl Rule for HiLo {
+        type Acc = [__m256i; 2];
+        const BLOCK: usize = (1 << 12) - 1;
+
+        #[inline(always)]
+        unsafe fn zero() -> [__m256i; 2] {
+            [_mm256_setzero_si256(); 2]
+        }
+
+        #[inline(always)]
+        unsafe fn add([hi, lo]: [__m256i; 2], p: __m256i) -> [__m256i; 2] {
+            [
+                _mm256_add_epi32(hi, _mm256_srai_epi32::<16>(p)),
+                _mm256_add_epi32(lo, p),
+            ]
+        }
+
+        #[inline(always)]
+        unsafe fn flush4(acc: [[__m256i; 2]; 4]) -> __m256i {
+            let (h0, l0) = Self::halves(acc[0]);
+            let (h1, l1) = Self::halves(acc[1]);
+            let (h2, l2) = Self::halves(acc[2]);
+            let (h3, l3) = Self::halves(acc[3]);
+            // [Σhi of the 4 outputs | ΣL of the 4 outputs], all in i32.
+            let hl = hsum8_epi32(h0, h1, h2, h3, l0, l1, l2, l3);
+            _mm256_add_epi64(
+                _mm256_slli_epi64::<16>(_mm256_cvtepi32_epi64(_mm256_castsi256_si128(hl))),
+                _mm256_cvtepi32_epi64(_mm256_extracti128_si256::<1>(hl)),
+            )
+        }
+    }
+
+    /// Widens 8 `i32` lanes into 4 `i64` lanes (both 128-bit halves
     /// summed).
     ///
     /// # Safety
@@ -560,52 +744,195 @@ mod avx2 {
     /// AVX2 only.
     #[inline(always)]
     unsafe fn hsum_epi64(v: __m256i) -> i64 {
-        let mut lanes = [0i64; 4];
-        _mm256_storeu_si256(lanes.as_mut_ptr().cast::<__m256i>(), v);
-        lanes[0].wrapping_add(lanes[1]) + lanes[2] + lanes[3]
+        let s = _mm_add_epi64(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
+        _mm_cvtsi128_si64(_mm_add_epi64(s, _mm_unpackhi_epi64(s, s)))
     }
 
-    /// Horizontal sum of 8 `i32` lanes (exact in `i64`).
+    /// `[Σv0, Σv1, Σv2, Σv3]`: the horizontal sums of four `i64x4`
+    /// vectors by transposition.
     ///
     /// # Safety
     ///
     /// AVX2 only.
     #[inline(always)]
-    unsafe fn hsum_epi32(v: __m256i) -> i64 {
-        let mut lanes = [0i32; 8];
-        _mm256_storeu_si256(lanes.as_mut_ptr().cast::<__m256i>(), v);
-        lanes.iter().map(|&x| i64::from(x)).sum()
+    unsafe fn hsum4_epi64(v0: __m256i, v1: __m256i, v2: __m256i, v3: __m256i) -> __m256i {
+        // [v0 lanes 0+1, v1 lanes 0+1 | v0 lanes 2+3, v1 lanes 2+3].
+        let s01 = _mm256_add_epi64(_mm256_unpacklo_epi64(v0, v1), _mm256_unpackhi_epi64(v0, v1));
+        let s23 = _mm256_add_epi64(_mm256_unpacklo_epi64(v2, v3), _mm256_unpackhi_epi64(v2, v3));
+        _mm256_add_epi64(
+            _mm256_permute2x128_si256::<0x20>(s01, s23),
+            _mm256_permute2x128_si256::<0x31>(s01, s23),
+        )
     }
 
-    /// Full-width `X1 x X1` dot: one `vpmaddwd` per 16 lanes, every pair
-    /// sum widened to `i64` immediately. Exact whenever at most one
-    /// operand panel contains `i16::MIN` (pair sums then stay inside
-    /// `i32`); the `MIN x MIN` corner goes to [`dot_x1x1_min`].
+    /// Per 128-bit half: `[x0+x2, y0+y2, x1+x3, y1+y3]`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 only.
+    #[inline(always)]
+    unsafe fn fold32(x: __m256i, y: __m256i) -> __m256i {
+        _mm256_add_epi32(_mm256_unpacklo_epi32(x, y), _mm256_unpackhi_epi32(x, y))
+    }
+
+    /// Per 128-bit half: `[Σx, Σy, Σz, Σw]` from `fold32(x, y)` and
+    /// `fold32(z, w)`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 only.
+    #[inline(always)]
+    unsafe fn fold64(xy: __m256i, zw: __m256i) -> __m256i {
+        _mm256_add_epi32(_mm256_unpacklo_epi64(xy, zw), _mm256_unpackhi_epi64(xy, zw))
+    }
+
+    /// `[Σv0, .., Σv7]`: the horizontal sums of eight `i32x8` vectors by
+    /// transposition, wrapping like every `i32` add.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 only.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn hsum8_epi32(
+        v0: __m256i,
+        v1: __m256i,
+        v2: __m256i,
+        v3: __m256i,
+        v4: __m256i,
+        v5: __m256i,
+        v6: __m256i,
+        v7: __m256i,
+    ) -> __m256i {
+        let lo = fold64(fold32(v0, v1), fold32(v2, v3));
+        let hi = fold64(fold32(v4, v5), fold32(v6, v7));
+        _mm256_add_epi32(
+            _mm256_permute2x128_si256::<0x20>(lo, hi),
+            _mm256_permute2x128_si256::<0x31>(lo, hi),
+        )
+    }
+
+    /// The micro-kernel: the `MR x NR` outputs of `MR` rows of `a`
+    /// against `NR` rows of `b`. Each 16-lane step decodes every row once
+    /// and issues `MR·NR` `vpmaddwd`, accumulating by rule `R` in blocks
+    /// of at most `R::BLOCK` steps that flush four outputs at a time.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available; row `r` of `a` (at `a + r * sa`) readable
+    /// for `steps` steps of `A`, likewise for `b`; `out + r * so + c`
+    /// writable for every `r < MR`, `c < NR`.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn tile<A: Lanes, B: Lanes, R: Rule, const MR: usize, const NR: usize>(
+        a: *const u16,
+        sa: usize,
+        b: *const u16,
+        sb: usize,
+        steps: usize,
+        out: *mut i64,
+        so: usize,
+    ) {
+        let mut sums = [[0i64; NR]; MR];
+        let mut s0 = 0;
+        while s0 < steps {
+            let s1 = s0 + (steps - s0).min(R::BLOCK);
+            let mut acc = [[R::zero(); NR]; MR];
+            for s in s0..s1 {
+                let mut va = [_mm256_setzero_si256(); MR];
+                for (r, v) in va.iter_mut().enumerate() {
+                    *v = A::load(a.add(r * sa + s * A::WORDS));
+                }
+                for c in 0..NR {
+                    let vb = B::load(b.add(c * sb + s * B::WORDS));
+                    for (acc_row, &v) in acc.iter_mut().zip(&va) {
+                        acc_row[c] = R::add(acc_row[c], _mm256_madd_epi16(v, vb));
+                    }
+                }
+            }
+            // Edge tiles pad their last group of four with zero blocks.
+            for (sum, acc) in sums
+                .as_flattened_mut()
+                .chunks_mut(4)
+                .zip(acc.as_flattened().chunks(4))
+            {
+                let mut quad = [R::zero(); 4];
+                quad[..acc.len()].copy_from_slice(acc);
+                let mut block = [0i64; 4];
+                _mm256_storeu_si256(block.as_mut_ptr().cast::<__m256i>(), R::flush4(quad));
+                for (s, b) in sum.iter_mut().zip(block) {
+                    *s += b;
+                }
+            }
+            s0 = s1;
+        }
+        for (r, sum_row) in sums.iter().enumerate() {
+            for (c, &sum) in sum_row.iter().enumerate() {
+                *out.add(r * so + c) = sum;
+            }
+        }
+    }
+
+    /// Covers the `a.rows x b.rows` output with `MR x NR` tiles, one
+    /// `NR`-row strip of `b` at a time (so the strip stays in L1 while
+    /// all of `a` streams past it); the ragged edges take the `1 x NR`,
+    /// `MR x 1` and `1 x 1` instances of the same kernel.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available; both operands hold `steps` steps per row
+    /// and `out.len() == a.rows * b.rows`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn drive<A: Lanes, B: Lanes, R: Rule, const MR: usize, const NR: usize>(
+        a: &Rows,
+        b: &Rows,
+        out: &mut [i64],
+    ) {
+        let n_full = b.rows - b.rows % NR;
+        let out = out.as_mut_ptr();
+        for j in (0..n_full).step_by(NR) {
+            strip::<A, B, R, MR, NR>(a, b, j, out);
+        }
+        for j in n_full..b.rows {
+            strip::<A, B, R, MR, 1>(a, b, j, out);
+        }
+    }
+
+    /// Every row of `a` against the `NR` rows of `b` from row `j`: full
+    /// `MR x NR` tiles, then `1 x NR` tiles for the leftover rows of `a`.
+    ///
+    /// # Safety
+    ///
+    /// As [`drive`], with `j + NR <= b.rows`.
+    #[inline(always)]
+    unsafe fn strip<A: Lanes, B: Lanes, R: Rule, const MR: usize, const NR: usize>(
+        a: &Rows,
+        b: &Rows,
+        j: usize,
+        out: *mut i64,
+    ) {
+        let (m, n) = (a.rows, b.rows);
+        let m_full = m - m % MR;
+        let (pb, po) = (b.row(j), out.add(j));
+        for i in (0..m_full).step_by(MR) {
+            tile::<A, B, R, MR, NR>(a.row(i), a.stride, pb, b.stride, a.steps, po.add(i * n), n);
+        }
+        for i in m_full..m {
+            tile::<A, B, R, 1, NR>(a.row(i), a.stride, pb, b.stride, a.steps, po.add(i * n), n);
+        }
+    }
+
+    /// `X1 x X1` with the explicit cross-term correction, one output at a
+    /// time: `vpmaddwd` wraps in exactly one case — both pairs of a 32-bit
+    /// lane multiply `MIN x MIN`, summing to `+2^31` which wraps to
+    /// `-2^31` — so the kernel counts those lanes (`a == MIN` AND
+    /// `b == MIN` across both 16-bit halves) and adds back `2^32` per
+    /// occurrence. Exact over the full two's-complement range.
     ///
     /// # Safety
     ///
     /// AVX2 must be available; both pointers readable for `16 * steps`
     /// `u16`s.
-    #[target_feature(enable = "avx2")]
-    unsafe fn dot_x1x1(a: *const u16, b: *const u16, steps: usize) -> i64 {
-        let mut acc = _mm256_setzero_si256();
-        for s in 0..steps {
-            let p = _mm256_madd_epi16(lanes_x1(a.add(16 * s)), lanes_x1(b.add(16 * s)));
-            acc = _mm256_add_epi64(acc, widen_pairs(p));
-        }
-        hsum_epi64(acc)
-    }
-
-    /// `X1 x X1` with the explicit cross-term correction: `vpmaddwd`
-    /// wraps in exactly one case — both pairs of a 32-bit lane multiply
-    /// `MIN x MIN`, summing to `+2^31` which wraps to `-2^31` — so the
-    /// kernel counts those lanes (`a == MIN` AND `b == MIN` across both
-    /// 16-bit halves) and adds back `2^32` per occurrence. Exact over the
-    /// full two's-complement range.
-    ///
-    /// # Safety
-    ///
-    /// As [`dot_x1x1`].
     #[target_feature(enable = "avx2")]
     unsafe fn dot_x1x1_min(a: *const u16, b: *const u16, steps: usize) -> i64 {
         let min = _mm256_set1_epi16(i16::MIN);
@@ -613,8 +940,8 @@ mod avx2 {
         let mut acc = _mm256_setzero_si256();
         let mut fixes = _mm256_setzero_si256();
         for s in 0..steps {
-            let va = lanes_x1(a.add(16 * s));
-            let vb = lanes_x1(b.add(16 * s));
+            let va = Sub16::load(a.add(16 * s));
+            let vb = Sub16::load(b.add(16 * s));
             let p = _mm256_madd_epi16(va, vb);
             acc = _mm256_add_epi64(acc, widen_pairs(p));
             // A 32-bit lane overflows iff all four 16-bit operands feeding
@@ -622,116 +949,91 @@ mod avx2 {
             let both_min =
                 _mm256_and_si256(_mm256_cmpeq_epi16(va, min), _mm256_cmpeq_epi16(vb, min));
             let wrapped = _mm256_cmpeq_epi32(both_min, all32);
-            // Subtracting the all-ones mask increments the per-lane count.
             fixes = _mm256_add_epi32(fixes, _mm256_and_si256(wrapped, _mm256_set1_epi32(1)));
         }
-        hsum_epi64(acc) + (hsum_epi32(fixes) << 32)
+        hsum_epi64(acc) + (hsum_epi64(widen_pairs(fixes)) << 32)
     }
 
-    /// Generates a packed dot kernel for one mode pair: `vpmaddwd` pair
-    /// sums accumulate in `i32` for `$spill` steps (sized so the partial
-    /// can never wrap at the pair's operand bounds), then widen into the
-    /// `i64` accumulator.
-    macro_rules! dot_packed_kernel {
-        ($(#[$doc:meta])* $name:ident, $la:ident, $wa:expr, $lb:ident, $wb:expr, $spill:expr) => {
-            $(#[$doc])*
-            /// # Safety
-            ///
-            /// AVX2 must be available; `a`/`b` readable for their mode's
-            /// words across `steps` steps.
-            #[target_feature(enable = "avx2")]
-            unsafe fn $name(a: *const u16, b: *const u16, steps: usize) -> i64 {
-                let mut acc64 = _mm256_setzero_si256();
-                let mut acc32 = _mm256_setzero_si256();
-                let mut pending: u32 = 0;
-                for s in 0..steps {
-                    let p = _mm256_madd_epi16($la(a.add($wa * s)), $lb(b.add($wb * s)));
-                    acc32 = _mm256_add_epi32(acc32, p);
-                    pending += 1;
-                    if pending == $spill {
-                        acc64 = _mm256_add_epi64(acc64, widen_pairs(acc32));
-                        acc32 = _mm256_setzero_si256();
-                        pending = 0;
-                    }
-                }
-                acc64 = _mm256_add_epi64(acc64, widen_pairs(acc32));
-                hsum_epi64(acc64)
+    /// [`dot_x1x1_min`] for every output: the only mode pair the tile
+    /// cannot hold exactly, reached only when both panels contain
+    /// `i16::MIN`.
+    ///
+    /// # Safety
+    ///
+    /// As [`drive`].
+    #[target_feature(enable = "avx2")]
+    unsafe fn drive_x1x1_min(a: &Rows, b: &Rows, out: &mut [i64]) {
+        for i in 0..a.rows {
+            for j in 0..b.rows {
+                out[i * b.rows + j] = dot_x1x1_min(a.row(i), b.row(j), a.steps);
             }
-        };
+        }
     }
 
-    dot_packed_kernel!(
-        /// `X1 x X2`: pair sums bounded by `2·2^15·2^7 = 2^23`; 128 steps
-        /// keep the `i32` partial under `2^30`.
-        dot_x1x2, lanes_x1, 16, lanes_x2, 8, 128u32
-    );
-    dot_packed_kernel!(
-        /// `X1 x X4`: pair sums bounded by `2·2^15·2^3 = 2^19`; 2048
-        /// steps keep the `i32` partial under `2^30`.
-        dot_x1x4, lanes_x1, 16, lanes_x4, 4, 2048u32
-    );
-    dot_packed_kernel!(
-        /// `X2 x X2`: pair sums bounded by `2^15`; 32768 steps keep the
-        /// `i32` partial under `2^30`.
-        dot_x2x2, lanes_x2, 8, lanes_x2, 8, 32768u32
-    );
-    dot_packed_kernel!(
-        /// `X2 x X4`: pair sums bounded by `2^11`; 32768 steps keep the
-        /// `i32` partial under `2^27`.
-        dot_x2x4, lanes_x2, 8, lanes_x4, 4, 32768u32
-    );
-    dot_packed_kernel!(
-        /// `X4 x X4`: pair sums bounded by `2^7`; 32768 steps keep the
-        /// `i32` partial under `2^23`.
-        dot_x4x4, lanes_x4, 4, lanes_x4, 4, 32768u32
-    );
-
-    /// Dispatches one packed row dot to the mode pair's kernel. The
+    /// The AVX2 body of [`gemm_packed`](super::gemm_packed): picks the
+    /// mode pair's lane expanders, accumulation rule and tile shape. The
     /// caller has verified AVX2 support.
-    pub(super) fn dot_rows(a: &PackedPanel, ai: usize, b: &PackedPanel, bi: usize) -> i64 {
-        let steps = a.steps();
-        let pa = a.row_words(ai).as_ptr();
-        let pb = b.row_words(bi).as_ptr();
+    ///
+    /// # Panics
+    ///
+    /// Panics when `out.len() != a.rows * b.rows`.
+    pub(super) fn gemm(a: &Rows, b: &Rows, out: &mut [i64]) {
         use SubwordMode::{X1, X2, X4};
-        // SAFETY: AVX2 was detected by the caller; each row holds exactly
-        // the words its mode consumes over `steps` steps (panel rows are
-        // padded to PACK_STEP_LANES lanes).
+        assert_eq!(a.steps, b.steps, "panels must agree on k");
+        for rows in [a, b] {
+            assert_eq!(
+                rows.stride * rows.mode.lanes(),
+                rows.steps * PACK_STEP_LANES
+            );
+        }
+        assert_eq!(out.len(), a.rows * b.rows, "out must be m x n");
+        // SAFETY: AVX2 was detected by the caller; `Rows::of` sliced
+        // `rows * stride` words and the asserts above pin the stride to
+        // exactly the words a mode consumes over `steps` steps, so every
+        // row walk stays in its slice; `out` is m x n.
         unsafe {
-            match (a.mode(), b.mode()) {
-                (X1, X1) => {
-                    if a.has_min && b.has_min {
-                        dot_x1x1_min(pa, pb, steps)
-                    } else {
-                        dot_x1x1(pa, pb, steps)
-                    }
-                }
-                (X1, X2) => dot_x1x2(pa, pb, steps),
-                (X2, X1) => dot_x1x2(pb, pa, steps),
-                (X1, X4) => dot_x1x4(pa, pb, steps),
-                (X4, X1) => dot_x1x4(pb, pa, steps),
-                (X2, X2) => dot_x2x2(pa, pb, steps),
-                (X2, X4) => dot_x2x4(pa, pb, steps),
-                (X4, X2) => dot_x2x4(pb, pa, steps),
-                (X4, X4) => dot_x4x4(pa, pb, steps),
+            match (a.mode, b.mode) {
+                (X1, X1) if a.has_min && b.has_min => drive_x1x1_min(a, b, out),
+                (X1, X1) => drive::<Sub16, Sub16, HiLo, 2, 2>(a, b, out),
+                // Pair sums bounded by 2·2^15·2^7 = 2^23: 128 steps keep
+                // the i32 partial under 2^30.
+                (X1, X2) => drive::<Sub16, Sub8, Block32<128>, 2, 4>(a, b, out),
+                (X2, X1) => drive::<Sub8, Sub16, Block32<128>, 2, 4>(a, b, out),
+                // 2·2^15·2^3 = 2^19: 2048 steps stay under 2^30.
+                (X1, X4) => drive::<Sub16, Sub4, Block32<2048>, 2, 4>(a, b, out),
+                (X4, X1) => drive::<Sub4, Sub16, Block32<2048>, 2, 4>(a, b, out),
+                // At most 2^15 (X2 x X2), 2^11, 2^7: 32768 steps stay
+                // under 2^30.
+                (X2, X2) => drive::<Sub8, Sub8, Block32<32768>, 2, 4>(a, b, out),
+                (X2, X4) => drive::<Sub8, Sub4, Block32<32768>, 2, 4>(a, b, out),
+                (X4, X2) => drive::<Sub4, Sub8, Block32<32768>, 2, 4>(a, b, out),
+                (X4, X4) => drive::<Sub4, Sub4, Block32<32768>, 2, 4>(a, b, out),
             }
         }
     }
 }
 
-/// One packed row dot, dispatched to the AVX2 kernels when the host
-/// supports them (run-time check) and the scalar decode loop otherwise.
-/// Both paths compute the identical exact sum.
-fn dot_rows(a: &PackedPanel, ai: usize, b: &PackedPanel, bi: usize) -> i64 {
+/// Exact dot product of row `ai` of `a` with row `bi` of `b` — the
+/// packed mirror of [`dot_i16`], bit-identical to it on the re-expanded
+/// lanes. On AVX2 hosts this is the `1 x 1` instance of the
+/// [`gemm_packed`] tile.
+///
+/// # Panics
+///
+/// Panics when the panels disagree on `k` or a row index is out of range.
+#[must_use]
+pub fn dot_packed(a: &PackedPanel, ai: usize, b: &PackedPanel, bi: usize) -> i64 {
+    assert_eq!(a.k(), b.k(), "dot operands must have equal logical length");
     #[cfg(target_arch = "x86_64")]
     if is_x86_feature_detected!("avx2") {
-        return avx2::dot_rows(a, ai, b, bi);
+        let mut out = [0i64];
+        avx2::gemm(
+            &avx2::Rows::of(a, ai..ai + 1),
+            &avx2::Rows::of(b, bi..bi + 1),
+            &mut out,
+        );
+        return out[0];
     }
-    dot_rows_scalar_rows(a, ai, b, bi)
-}
-
-/// [`dot_rows_scalar`] behind the panel-level signature [`gemm_packed`]'s
-/// hoisted dispatch shares with the AVX2 path.
-fn dot_rows_scalar_rows(a: &PackedPanel, ai: usize, b: &PackedPanel, bi: usize) -> i64 {
     dot_rows_scalar(
         a.row_words(ai),
         a.mode(),
@@ -741,23 +1043,17 @@ fn dot_rows_scalar_rows(a: &PackedPanel, ai: usize, b: &PackedPanel, bi: usize) 
     )
 }
 
-/// Exact dot product of row `ai` of `a` with row `bi` of `b` — the
-/// packed mirror of [`dot_i16`], bit-identical to it on the re-expanded
-/// lanes.
+/// Subword-packed GEMM: `out[i][j] = Σ_t a[i][t] * bt[j][t]`, exact in
+/// `i64` — the packed mirror of [`gemm_i16`] (same layout convention,
+/// bit-identical results on the re-expanded lanes).
 ///
-/// # Panics
-///
-/// Panics when the panels disagree on `k` or a row index is out of range.
-#[must_use]
-pub fn dot_packed(a: &PackedPanel, ai: usize, b: &PackedPanel, bi: usize) -> i64 {
-    assert_eq!(a.k(), b.k(), "dot operands must have equal logical length");
-    dot_rows(a, ai, b, bi)
-}
-
-/// Blocked subword-packed GEMM: `out[i][j] = Σ_t a[i][t] * bt[j][t]`,
-/// exact in `i64` — the packed mirror of [`gemm_i16`] (same layout
-/// convention, same [`COL_TILE`] tiling, bit-identical results on the
-/// re-expanded lanes).
+/// On AVX2 hosts the output is covered by register tiles of 2 rows of
+/// `a` by 2 (`X1 x X1`) or 4 (every other mode pair) rows of `bt`, with
+/// smaller instances of the same kernel on the ragged edges: every
+/// 16-lane step decodes each tile row once and multiplies all row pairs,
+/// under the mode pair's exact accumulation rule (see the module docs).
+/// Elsewhere a scalar decode loop computes the same sums one output at a
+/// time.
 ///
 /// The operand panels may use different [`SubwordMode`]s — a reduced-
 /// precision weight panel (2 or 4 operands per lane word) streams against
@@ -786,26 +1082,12 @@ pub fn gemm_packed(a: &PackedPanel, bt: &PackedPanel, out: &mut [i64]) {
         out.fill(0);
         return;
     }
-    // Hoist the AVX2 feature probe out of the m x n inner loop: one check
-    // selects the dot implementation for the whole multiply.
     #[cfg(target_arch = "x86_64")]
-    let dot: fn(&PackedPanel, usize, &PackedPanel, usize) -> i64 =
-        if is_x86_feature_detected!("avx2") {
-            avx2::dot_rows
-        } else {
-            dot_rows_scalar_rows
-        };
-    #[cfg(not(target_arch = "x86_64"))]
-    let dot = dot_rows_scalar_rows;
-    for j0 in (0..n).step_by(COL_TILE) {
-        let j1 = (j0 + COL_TILE).min(n);
-        for i in 0..m {
-            let out_row = &mut out[i * n + j0..i * n + j1];
-            for (jj, o) in out_row.iter_mut().enumerate() {
-                *o = dot(a, i, bt, j0 + jj);
-            }
-        }
+    if is_x86_feature_detected!("avx2") {
+        avx2::gemm(&avx2::Rows::of(a, 0..m), &avx2::Rows::of(bt, 0..n), out);
+        return;
     }
+    gemm_packed_scalar(a, bt, out);
 }
 
 #[cfg(test)]
@@ -997,23 +1279,163 @@ mod tests {
         }
     }
 
-    /// The scalar fallback computes the same exact sums as the dispatched
-    /// path (on AVX2 hosts this pits the intrinsics against the decode
-    /// loop; elsewhere both sides are the decode loop).
+    /// The scalar driver — what hosts without AVX2 run — computes the
+    /// same exact sums as the dispatched [`gemm_packed`] (on AVX2 hosts
+    /// this pits the decode loop against the register tiles; elsewhere
+    /// both sides are the decode loop), tile edges and every mode pair
+    /// included.
     #[test]
     fn scalar_fallback_agrees_with_dispatch() {
         for &ma in &SubwordMode::ALL {
             for &mb in &SubwordMode::ALL {
-                for k in [5usize, 64, 333] {
-                    let a = random_lanes(k, ma, 7 + k as u64);
-                    let b = random_lanes(k, mb, 77 + k as u64);
-                    let pa = PackedPanel::pack(&a, 1, k, ma);
-                    let pb = PackedPanel::pack(&b, 1, k, mb);
-                    let scalar =
-                        dot_rows_scalar(pa.row_words(0), ma, pb.row_words(0), mb, pa.steps());
-                    assert_eq!(dot_packed(&pa, 0, &pb, 0), scalar, "{ma}x{mb} k={k}");
+                for &(m, k, n) in &[(1usize, 5usize, 1usize), (3, 64, 5), (5, 333, 9)] {
+                    let a = random_lanes(m * k, ma, 7 + k as u64);
+                    let b = random_lanes(n * k, mb, 77 + k as u64);
+                    let pa = PackedPanel::pack(&a, m, k, ma);
+                    let pb = PackedPanel::pack(&b, n, k, mb);
+                    let mut scalar = vec![i64::MIN; m * n];
+                    gemm_packed_scalar(&pa, &pb, &mut scalar);
+                    let mut tiled = vec![i64::MAX; m * n];
+                    gemm_packed(&pa, &pb, &mut tiled);
+                    assert_eq!(tiled, scalar, "{ma}x{mb} m={m} k={k} n={n}");
+                    assert_eq!(dot_packed(&pa, m - 1, &pb, n - 1), scalar[m * n - 1]);
                 }
             }
+        }
+    }
+
+    /// Operand patterns for the tile-boundary net: random over the full
+    /// lane range, and the constant extremes that drive every pair sum
+    /// to its bound (`MIN x MIN` is the largest product, `MIN x MAX` the
+    /// most negative).
+    #[derive(Clone, Copy, Debug)]
+    enum Fill {
+        Random,
+        Min,
+        Max,
+    }
+
+    fn fill(len: usize, mode: SubwordMode, pattern: Fill, seed: u64) -> Vec<i16> {
+        let w = mode.lane_bits();
+        match pattern {
+            Fill::Random => random_lanes(len, mode, seed),
+            Fill::Min => vec![(-(1i32 << (w - 1))) as i16; len],
+            Fill::Max => vec![((1i32 << (w - 1)) - 1) as i16; len],
+        }
+    }
+
+    /// Checks `gemm_packed` (and, for its corner output, `dot_packed`)
+    /// against the unpacked reference for one shape.
+    fn check_tiled(a: &[i16], ma: SubwordMode, b: &[i16], mb: SubwordMode, m: usize, k: usize) {
+        let n = b.len() / k.max(1);
+        let pa = PackedPanel::pack(a, m, k, ma);
+        let pb = PackedPanel::pack(b, n, k, mb);
+        let mut out = vec![i64::MIN; m * n];
+        gemm_packed(&pa, &pb, &mut out);
+        let expected = naive_gemm(a, b, m, k, n);
+        assert_eq!(out, expected, "{ma}x{mb} m={m} k={k} n={n}");
+        assert_eq!(dot_packed(&pa, m - 1, &pb, n - 1), expected[m * n - 1]);
+    }
+
+    /// The tile-boundary net: every mode pair, every `m` up to one row
+    /// past a 2-row tile and every `n` up to one column past a 4-column
+    /// tile (so full tiles, row edges, column edges and the corner all
+    /// run), over short `k` around the 16-lane step.
+    #[test]
+    fn tiled_gemm_matches_naive_at_every_tile_edge() {
+        let n_max = 5;
+        for (i, &ma) in SubwordMode::ALL.iter().enumerate() {
+            for (j, &mb) in SubwordMode::ALL.iter().enumerate() {
+                for k in [0usize, 1, 15, 16, 17, 33] {
+                    for m in 1..=3 {
+                        for n in 1..=n_max {
+                            let seed = (i * 3 + j) as u64 * 10_000 + (k * 100 + m * 10 + n) as u64;
+                            let a = random_lanes(m * k, ma, seed);
+                            let b = random_lanes(n * k, mb, seed ^ 0xBEEF);
+                            if k == 0 {
+                                let pa = PackedPanel::pack(&a, m, 0, ma);
+                                let pb = PackedPanel::pack(&b, n, 0, mb);
+                                let mut out = vec![7i64; m * n];
+                                gemm_packed(&pa, &pb, &mut out);
+                                assert!(out.iter().all(|&v| v == 0));
+                                assert_eq!(dot_packed(&pa, 0, &pb, 0), 0);
+                            } else {
+                                check_tiled(&a, ma, &b, mb, m, k);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Each pair's accumulation block, crossed: `k` one lane past the
+    /// steps a block may absorb (the narrow pairs' `i32` spill interval,
+    /// the `X1 x X1` hi/lo block), with operands at the extremes that
+    /// push every pair sum to its bound, on a `3 x 5` output (full
+    /// tiles plus both edges).
+    #[test]
+    fn tiled_gemm_is_exact_past_every_accumulation_block() {
+        use SubwordMode::{X1, X2, X4};
+        let blocks = [
+            ((X1, X1), 4095usize),
+            ((X1, X2), 128),
+            ((X2, X1), 128),
+            ((X1, X4), 2048),
+            ((X4, X1), 2048),
+            ((X2, X2), 32768),
+            ((X2, X4), 32768),
+            ((X4, X2), 32768),
+            ((X4, X4), 32768),
+        ];
+        let patterns = [
+            (Fill::Min, Fill::Max),
+            (Fill::Max, Fill::Min),
+            (Fill::Max, Fill::Max),
+            (Fill::Random, Fill::Random),
+            (Fill::Min, Fill::Min),
+        ];
+        let (m, n) = (3usize, 5usize);
+        for ((ma, mb), steps) in blocks {
+            let k = steps * PACK_STEP_LANES + 1;
+            for (p, &(fa, fb)) in patterns.iter().enumerate() {
+                // Both-MIN X1 x X1 panels take the corrected dot; the
+                // hi/lo block is exercised by the other patterns.
+                let a = fill(m * k, ma, fa, 5 + p as u64);
+                let b = fill(n * k, mb, fb, 50 + p as u64);
+                check_tiled(&a, ma, &b, mb, m, k);
+            }
+        }
+    }
+
+    /// The `MIN x MIN` corner of `X1 x X1` — the one pair sum `vpmaddwd`
+    /// wraps — through the tiled driver: when both panels hold
+    /// `i16::MIN`, every output of the multiply (tile interiors and
+    /// edges alike) takes the corrected dot.
+    #[test]
+    fn tiled_gemm_corrects_the_min_times_min_corner() {
+        for k in [1usize, 16, 33, 160] {
+            let (m, n) = (3usize, 5usize);
+            let mut a = random_lanes(m * k, SubwordMode::X1, 3 + k as u64);
+            let mut b = random_lanes(n * k, SubwordMode::X1, 30 + k as u64);
+            // MIN in the same lanes of every row, so every output meets
+            // MIN x MIN steps; plus runs of MIN to fill whole pairs.
+            for row in a.chunks_exact_mut(k).chain(b.chunks_exact_mut(k)) {
+                for t in (0..k).step_by(3) {
+                    row[t] = i16::MIN;
+                }
+                row[k - 1] = i16::MIN;
+            }
+            check_tiled(&a, SubwordMode::X1, &b, SubwordMode::X1, m, k);
+            let all_min = vec![i16::MIN; m.max(n) * k];
+            check_tiled(
+                &all_min[..m * k],
+                SubwordMode::X1,
+                &all_min[..n * k],
+                SubwordMode::X1,
+                m,
+                k,
+            );
         }
     }
 
