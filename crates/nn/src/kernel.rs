@@ -19,7 +19,9 @@
 //!   [`SubwordMode::for_precision`] — see [`mode_for_bits`] — so an
 //!   8-bit layer carries 2 operands per 16-bit lane word and a 4-bit
 //!   layer 4, and the packed GEMM of `dvafs_simd::gemm` consumes them
-//!   with exact accumulation.
+//!   with exact accumulation. Its conv panels use channels-last
+//!   `(ky, kx, ci)` tap order on both sides, so each activation panel row
+//!   is `k` block copies out of a zero-bordered input plane.
 //!
 //! Accumulation is exact in every kernel, so the choice **never moves a
 //! number**: outputs are byte-identical and the `zero_weight`/`zero_act`
@@ -152,66 +154,32 @@ pub(crate) fn mode_for_bits(bits: u32) -> SubwordMode {
 /// reuse never affects results.
 #[derive(Debug, Default)]
 pub struct Scratch {
-    /// im2col panel: one packed patch per output position (`n x k`).
+    /// im2col panel of the `Gemm` kernel: one patch per output position
+    /// (`n x k`, taps in the filters' `(ci, ky, kx)` order).
     pub(crate) patches: Vec<i16>,
     /// Quantized activation vector of a dense layer.
     pub(crate) acts: Vec<i16>,
     /// GEMM accumulators (`m x n`, exact `i64`).
     pub(crate) acc: Vec<i64>,
-    /// Subword-packed activation panel of the `GemmPacked` kernel
-    /// (repacked per layer from `patches`/`acts`; the buffer is reused).
+    /// Subword-packed activation panel of the `GemmPacked` kernel:
+    /// filled in place by the conv and batched dense paths (every word
+    /// of every row written, so no zeroing pass) or repacked from `acts`
+    /// by the per-sample dense path. One buffer, reused across layers.
     pub(crate) packed: PackedPanel,
-    /// Directly-filled activation panels of the batched `GemmPacked`
-    /// path, keyed by fill structure (see `PackedPanel::begin_fill_reuse`)
-    /// so each layer geometry keeps **its own** panel across forward
-    /// calls: a repeat fill of an unchanged `X1` structure then skips the
-    /// zeroing pass entirely. LRU order, capped entries/words (below).
-    pub(crate) packed_pool: Vec<(u64, PackedPanel)>,
+    /// Zero-bordered channels-last input plane of a `GemmPacked` conv
+    /// (`(h+2p) x (w+2p) x c` lane fields): each im2col panel row is `k`
+    /// contiguous block copies out of it.
+    pub(crate) plane: Vec<u16>,
+    /// One staged im2col row of a sub-word (`X2`/`X4`) conv fill, padded
+    /// with zero lanes to the panel's row width.
+    pub(crate) stage: Vec<u16>,
 }
-
-/// Entry cap of [`Scratch::packed_pool`] — comfortably above the
-/// parameterized-layer count of the deepest scenario network, so a full
-/// forward sweep keeps every layer's panel pooled.
-const PANEL_POOL_MAX_ENTRIES: usize = 24;
-
-/// Word cap (`u16`s, so bytes are 2x) of [`Scratch::packed_pool`] across
-/// all entries: pooling holds one panel **per layer geometry** alive
-/// where the single shared panel held only the largest, so bound the
-/// total and evict least-recently-used panels past it.
-const PANEL_POOL_MAX_WORDS: usize = 1 << 24;
 
 impl Scratch {
     /// Creates an empty scratch; buffers grow on first use.
     #[must_use]
     pub fn new() -> Self {
         Scratch::default()
-    }
-
-    /// The pooled packed panel for fill-structure `key`, plus the GEMM
-    /// accumulator buffer (handed out together so the caller can hold
-    /// both mutably). Creates the panel on first use; moves a hit to the
-    /// back (LRU) and evicts from the front past the pool caps.
-    pub(crate) fn pooled_panel_and_acc(&mut self, key: u64) -> (&mut PackedPanel, &mut Vec<i64>) {
-        let entry = match self.packed_pool.iter().position(|(k, _)| *k == key) {
-            Some(i) => self.packed_pool.remove(i),
-            None => (key, PackedPanel::default()),
-        };
-        let words = |p: &PackedPanel| p.rows() * p.words_per_row();
-        while !self.packed_pool.is_empty()
-            && (self.packed_pool.len() + 1 > PANEL_POOL_MAX_ENTRIES
-                || self
-                    .packed_pool
-                    .iter()
-                    .map(|(_, p)| words(p))
-                    .sum::<usize>()
-                    + words(&entry.1)
-                    > PANEL_POOL_MAX_WORDS)
-        {
-            self.packed_pool.remove(0);
-        }
-        self.packed_pool.push(entry);
-        let (_, panel) = self.packed_pool.last_mut().expect("entry just pushed");
-        (panel, &mut self.acc)
     }
 }
 
@@ -237,8 +205,9 @@ pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
 /// reproduced from.
 #[derive(Debug)]
 pub(crate) struct PackedWeights {
-    /// Quantized weights as the GEMM's left operand (row-major, one filter
-    /// or output neuron per row).
+    /// Quantized weights as the `Gemm` kernel's left operand (row-major,
+    /// one filter or output neuron per row; conv taps in the stored
+    /// `(ci, ky, kx)` order).
     pub qi16: Vec<i16>,
     /// Real value per grid step (`QuantizedTensor::scale`).
     pub scale: f64,
@@ -253,7 +222,9 @@ pub(crate) struct PackedWeights {
     /// The same weights subword-packed at
     /// [`mode_for_bits`]`(bits)` — one filter/output neuron per panel
     /// row — pre-built at pack time so the `GemmPacked` hot path never
-    /// re-packs weights.
+    /// re-packs weights. Conv taps are reordered channels-last,
+    /// `(ky, kx, ci)`, to match the activation rows the `GemmPacked`
+    /// conv fill copies out of its channels-last plane.
     pub panel: PackedPanel,
 }
 

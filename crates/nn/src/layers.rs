@@ -10,11 +10,15 @@
 //! Three interchangeable MAC kernels execute that arithmetic (see
 //! [`crate::kernel`]): the original scalar loops ([`NnKernel::Naive`], the
 //! reference oracle), the im2col + blocked-integer-GEMM path
-//! ([`NnKernel::Gemm`]), and the default subword-packed GEMM
-//! ([`NnKernel::GemmPacked`]) that shares the im2col packing and all
-//! statistics bookkeeping with the `Gemm` path and only swaps the inner
-//! product for the lane-packed one. Accumulation is exact in `i64`, so
-//! all three produce byte-identical outputs and statistics.
+//! ([`NnKernel::Gemm`], taps in the filters' stored `(ci, ky, kx)`
+//! order), and the default subword-packed GEMM ([`NnKernel::GemmPacked`]),
+//! whose conv im2col is channels-last: each sample is written once into a
+//! zero-bordered `(ky, kx, ci)`-ordered plane and every panel row is `k`
+//! contiguous block copies out of it, against a weight panel packed in
+//! the same tap order. Both GEMM kernels share the statistics
+//! bookkeeping and run a single sample as a batch of one. Accumulation
+//! is exact in `i64` and integer sums are order-free, so all three
+//! produce byte-identical outputs and statistics.
 
 use crate::error::NnError;
 use crate::kernel::{mode_for_bits, NnKernel, PackedWeights, Scratch, WeightCache};
@@ -30,10 +34,10 @@ use std::sync::Arc;
 /// `PackedPanel::begin_fill` row at `LANES` two's-complement fields of
 /// `WBITS` bits per word, exactly where `repack` would place each
 /// operand (`X1` is `<1, 16, { i16::MIN as i32 }>` — the word IS the
-/// operand). The row tail past the last operand stays at the buffer's
-/// pre-zeroed state. Returns the row's `(zero_count, has_min)` — `MIN`
-/// is the mode's most negative lane value, which triggers the exact
-/// min-correction kernel.
+/// operand), and zeroes the row tail past the last operand word (the
+/// fill buffer is not pre-zeroed). Returns the row's
+/// `(zero_count, has_min)` — `MIN` is the mode's most negative lane
+/// value, which triggers the exact min-correction kernel.
 fn fill_row_packed<const LANES: usize, const WBITS: u16, const MIN: i32>(
     src: &[i32],
     row: &mut [u16],
@@ -58,50 +62,8 @@ fn fill_row_packed<const LANES: usize, const WBITS: u16, const MIN: i32>(
             *d = word;
         }
     }
+    row[src.len().div_ceil(LANES)..].fill(0);
     (zeros, min)
-}
-
-/// Pool key for dense-layer panel fills (see [`Scratch::pooled_panel_and_acc`]).
-///
-/// A dense `X1` fill writes every operand word of every row, so a reused
-/// buffer needs no re-zeroing once `begin_fill_reuse` has pinned the
-/// `(rows, k, mode)` geometry — one shared key covers all dense layers.
-/// The value can never collide with a [`conv_fill_key`]: a conv key's low
-/// nibble holds `kernel >= 1` while its stride nibble holds `stride >= 1`,
-/// and this constant has a zero stride nibble.
-const DENSE_FILL_KEY: u64 = 1;
-
-/// Pool key for a conv-layer im2col panel fill, or `None` when a field
-/// overflows its bit budget (callers then fall back to an unpooled,
-/// always-zeroed fill).
-///
-/// The key must capture everything that determines *which* panel words
-/// `pack_im2col_packed` writes — input shape, kernel geometry, and batch
-/// size — because a pooled `X1` buffer is reused without re-zeroing and
-/// the structural padding words rely on stale zeros from the previous
-/// fill of identical structure.
-fn conv_fill_key(
-    c: usize,
-    h: usize,
-    w: usize,
-    kernel: usize,
-    stride: usize,
-    padding: usize,
-    b: usize,
-) -> Option<u64> {
-    if kernel < 16 && stride < 16 && padding < 16 && c < 4096 && h < 4096 && w < 4096 && b < 65536 {
-        Some(
-            kernel as u64
-                | (stride as u64) << 4
-                | (padding as u64) << 8
-                | (c as u64) << 12
-                | (h as u64) << 24
-                | (w as u64) << 36
-                | (b as u64) << 48,
-        )
-    } else {
-        None
-    }
 }
 
 /// Execution statistics of one layer forward pass.
@@ -292,8 +254,11 @@ impl Conv2d {
         }
         match kernel {
             NnKernel::Naive => self.forward_naive(qa, wbits),
-            NnKernel::Gemm => self.forward_gemm(qa, wbits, scratch, false),
-            NnKernel::GemmPacked => self.forward_gemm(qa, wbits, scratch, true),
+            NnKernel::Gemm | NnKernel::GemmPacked => {
+                let packed = kernel == NnKernel::GemmPacked;
+                let mut out = self.forward_gemm(&[qa], wbits, scratch, packed)?;
+                Ok(out.pop().expect("one sample in, one result out"))
+            }
         }
     }
 
@@ -376,14 +341,19 @@ impl Conv2d {
                 qi16.push(q as i16);
             }
             // Pre-pack the subword panel at the width's own mode (one
-            // filter per row): the GemmPacked hot path then only packs
+            // filter per row, taps reordered channels-last to
+            // `[f][ky][kx][ci]`, the order the GemmPacked fill copies
+            // activation rows in): the hot path then only packs
             // activations.
-            let panel = gemm::PackedPanel::pack(
-                &qi16,
-                self.out_channels,
-                self.in_channels * k2,
-                mode_for_bits(wbits),
-            );
+            let c = self.in_channels;
+            let hwc: Vec<i16> = (0..self.out_channels * k2 * c)
+                .map(|i| {
+                    let (fi, tap, ci) = (i / (k2 * c), i / c % k2, i % c);
+                    qi16[(fi * c + ci) * k2 + tap]
+                })
+                .collect();
+            let panel =
+                gemm::PackedPanel::pack(&hwc, self.out_channels, c * k2, mode_for_bits(wbits));
             PackedWeights {
                 qi16,
                 scale: qw.scale,
@@ -414,13 +384,32 @@ impl Conv2d {
             .collect()
     }
 
+    /// Per-input use counts along one spatial axis: entry `i` is the
+    /// number of in-bounds `(output, tap)` pairs `(o, kk)` in
+    /// `0..out_len x 0..kernel` that read input coordinate `i` in
+    /// `0..dim` — the transpose of [`axis_tap_counts`](Self::axis_tap_counts).
+    /// A zero activation at `(iy, ix)` is a zero-operand MAC at exactly
+    /// `uses_y[iy] * uses_x[ix]` panel positions per filter.
+    fn axis_input_uses(&self, out_len: usize, dim: usize) -> Vec<u64> {
+        let mut uses = vec![0u64; dim];
+        for o in 0..out_len {
+            for kk in 0..self.kernel {
+                if let Some(i) = (o * self.stride + kk).checked_sub(self.padding) {
+                    if i < dim {
+                        uses[i] += 1;
+                    }
+                }
+            }
+        }
+        uses
+    }
+
     /// Packs one sample's im2col panel into the **pre-zeroed** `patches`
-    /// (length `n * klen`), counting in-bounds zero activations as it
+    /// (length `n * klen`, taps in the filters' `(ci, ky, kx)` order) for
+    /// the `Gemm` kernel, counting in-bounds zero activations as it
     /// goes — a padding tap is a *skipped* MAC, not a zero-operand MAC,
     /// so structural zeros come from the zeroed buffer and are not
-    /// counted. Shared by the per-sample and batched `Gemm` paths, so
-    /// their panels (and zero-activation counts) are bit-identical by
-    /// construction.
+    /// counted.
     fn pack_im2col(&self, qa: &QuantizedTensor, patches: &mut [i16]) -> u64 {
         let (_, h, w) = qa.shape;
         let (oh, ow) = self.out_hw(h, w);
@@ -465,86 +454,99 @@ impl Conv2d {
         zero_acts
     }
 
-    /// [`pack_im2col`](Self::pack_im2col)'s walk writing one sample's
-    /// im2col rows straight into a `PackedPanel::begin_fill` buffer at
-    /// `LANES` two's-complement fields of `WBITS` bits per word (`X1` is
-    /// `<1, 16, { i16::MIN as i32 }>` — the word IS the operand), so the
-    /// batched packed path skips the `i16` staging buffer and the repack
-    /// pass entirely. `words` is this sample's pre-zeroed row block
-    /// (`n * stride` words); operand `t` of panel row `r` lands in word
-    /// `r*stride + t/LANES` exactly as `repack` would place it —
-    /// identical taps, identical zero accounting, bit-identical panels
-    /// by construction. Returns the sample's `(zero_acts, has_min)`
-    /// (`MIN` is the mode's most negative lane value, which triggers the
-    /// exact min-correction kernel).
-    fn pack_im2col_packed<const LANES: usize, const WBITS: u16, const MIN: i32>(
+    /// Writes one sample's quantized input into the interior of the
+    /// zero-bordered channels-last `plane` (`(h+2p) x (w+2p) x c`, each
+    /// value as its two's-complement lane field at `mode`) — the
+    /// `GemmPacked` fill's one pass over the input. The border is never
+    /// written, so it keeps the zeros the caller sized the plane with.
+    ///
+    /// Returns the sample's `(zero_acts, has_min)` over the im2col panel
+    /// that [`copy_im2col_rows`](Self::copy_im2col_rows) builds from the
+    /// plane: input `(iy, ix)` appears at `uses_y[iy] * uses_x[ix]` panel
+    /// positions (see [`axis_input_uses`](Self::axis_input_uses)), and a
+    /// padding tap is a *skipped* MAC, never counted. `has_min` flags the
+    /// mode's most negative lane value at any used position.
+    fn fill_plane(
         &self,
         qa: &QuantizedTensor,
-        words: &mut [u16],
-        stride: usize,
+        mode: SubwordMode,
+        uses: (&[u64], &[u64]),
+        plane: &mut [u16],
     ) -> (u64, bool) {
         let (_, h, w) = qa.shape;
-        let (oh, ow) = self.out_hw(h, w);
-        let k = self.kernel;
+        let (uses_y, uses_x) = uses;
         let c = self.in_channels;
-        let pad = self.padding as isize;
-        let mut zero_acts = 0u64;
-        let mut has_min = false;
-        for oy in 0..oh {
-            for ky in 0..k {
-                let iy = (oy * self.stride + ky) as isize - pad;
-                if iy < 0 || iy >= h as isize {
-                    continue;
+        let pad = self.padding;
+        let wp = w + 2 * pad;
+        let lane_bits = mode.lane_bits();
+        let mask = ((1u32 << lane_bits) - 1) as u16;
+        let min = -(1i32 << (lane_bits - 1));
+        let (mut zero_acts, mut min_uses) = (0u64, 0u64);
+        for (iy, &uy) in uses_y.iter().enumerate() {
+            let prow = &mut plane[((iy + pad) * wp + pad) * c..][..w * c];
+            let (mut zeros, mut mins) = (0u64, 0u64);
+            for ci in 0..c {
+                let src = &qa.data[(ci * h + iy) * w..][..w];
+                let dst = prow[ci..].iter_mut().step_by(c);
+                for ((d, &q), &ux) in dst.zip(src).zip(uses_x) {
+                    zeros += if q == 0 { ux } else { 0 };
+                    mins += if q == min { ux } else { 0 };
+                    *d = (q as u16) & mask;
                 }
-                let iy = iy as usize;
-                for ox in 0..ow {
-                    let row = (oy * ow + ox) * stride;
-                    let base = (ox * self.stride) as isize - pad;
-                    let kx_lo = usize::try_from(-base).unwrap_or(0).min(k);
-                    let kx_hi = usize::try_from(w as isize - base).unwrap_or(0).min(k);
-                    if kx_lo >= kx_hi {
-                        continue;
+            }
+            zero_acts += zeros * uy;
+            min_uses += mins * uy;
+        }
+        (zero_acts, min_uses > 0)
+    }
+
+    /// Builds one sample's block of `GemmPacked` im2col rows (`n` rows of
+    /// `stride` words) from its channels-last `plane`: the taps of output
+    /// `(oy, ox)` in `(ky, kx, ci)` order are `k` contiguous runs of
+    /// `k·c` plane fields, one per `ky`. `X1` (`LANES == 1`) copies the
+    /// runs straight into the panel row; sub-word modes copy them into
+    /// the zero-tailed `stage` (`stride * LANES` fields) and pack whole
+    /// words from it. Every word of every row is written, the zero row
+    /// tail included.
+    fn copy_im2col_rows<const LANES: usize, const WBITS: u16>(
+        &self,
+        w: usize,
+        plane: &[u16],
+        stage: &mut [u16],
+        block: &mut [u16],
+        stride: usize,
+    ) {
+        let (c, k, s) = (self.in_channels, self.kernel, self.stride);
+        let wp = w + 2 * self.padding;
+        let ow = (wp - k) / s + 1;
+        let run = k * c;
+        let klen = k * run;
+        for (r, row) in block.chunks_exact_mut(stride).enumerate() {
+            let (oy, ox) = (r / ow, r % ow);
+            let at = (oy * s * wp + ox * s) * c;
+            let dst = if LANES == 1 { &mut *row } else { &mut *stage };
+            for (ky, run_dst) in dst[..klen].chunks_exact_mut(run).enumerate() {
+                run_dst.copy_from_slice(&plane[at + ky * wp * c..][..run]);
+            }
+            if LANES == 1 {
+                row[klen..].fill(0);
+            } else {
+                for (d, fields) in row.iter_mut().zip(stage.chunks_exact(LANES)) {
+                    let mut word = 0u16;
+                    for (l, &v) in fields.iter().enumerate() {
+                        word |= v << (l as u16 * WBITS);
                     }
-                    let ix0 = (base + kx_lo as isize) as usize;
-                    for ci in 0..c {
-                        let src = &qa.data[(ci * h + iy) * w + ix0..][..kx_hi - kx_lo];
-                        let t0 = (ci * k + ky) * k + kx_lo;
-                        if LANES == 1 {
-                            // One operand per word: a contiguous store run,
-                            // like the staging path but already in panel
-                            // layout.
-                            let dst = &mut words[row + t0..][..kx_hi - kx_lo];
-                            for (d, &q) in dst.iter_mut().zip(src) {
-                                zero_acts += u64::from(q == 0);
-                                has_min |= q == MIN;
-                                *d = q as u16;
-                            }
-                        } else {
-                            // Sub-word lanes: adjacent taps from different
-                            // `ky` share words, so deposit fields with `|=`
-                            // over the pre-zeroed buffer.
-                            for (j, &q) in src.iter().enumerate() {
-                                zero_acts += u64::from(q == 0);
-                                has_min |= q == MIN;
-                                let t = t0 + j;
-                                words[row + t / LANES] |= ((q as u16)
-                                    & (((1u32 << WBITS) - 1) as u16))
-                                    << ((t % LANES) as u16 * WBITS);
-                            }
-                        }
-                    }
+                    *d = word;
                 }
             }
         }
-        (zero_acts, has_min)
     }
 
     /// The data-independent guard-skip statistics of one GEMM conv pass
     /// on an `h x w` input, reproduced exactly from the packed
     /// representation: tap `(ky, kx)` is in bounds at `py[ky]*px[kx]`
     /// output positions. Returns `(macs, zero_weight_macs)`; the
-    /// data-dependent `zero_act_macs` comes from
-    /// [`pack_im2col`](Self::pack_im2col).
+    /// data-dependent `zero_act_macs` comes from the panel fill.
     fn gemm_mac_stats(&self, pw: &PackedWeights, h: usize, w: usize) -> (u64, u64) {
         let (oh, ow) = self.out_hw(h, w);
         let k = self.kernel;
@@ -563,76 +565,122 @@ impl Conv2d {
         )
     }
 
-    /// The im2col + blocked-integer-GEMM path. Patches are packed at the
-    /// filters' own layout with structural zeros where a tap falls in the
-    /// padding; those zeros contribute nothing to the exact `i64` sums, so
-    /// outputs are byte-identical to [`forward_naive`](Self::forward_naive).
+    /// The GEMM conv path on a batch of already-quantized inputs of one
+    /// shape and bit width (a single sample is `B = 1`): each sample's
+    /// im2col panel becomes `n` rows of a shared `(B·n) x k` activation
+    /// panel and the batch runs as **one wide GEMM**, so the packed weight
+    /// panel streams through cache once per batch instead of once per
+    /// sample. Padding taps are structural zeros, which contribute
+    /// nothing to the exact `i64` sums, so every output is byte-identical
+    /// to [`forward_naive`](Self::forward_naive).
     ///
-    /// With `packed` set this is the `GemmPacked` kernel: the identical
-    /// im2col panel (and therefore the identical statistics bookkeeping)
-    /// is subword-packed at the activation width's [`mode_for_bits`] and
-    /// multiplied against the pre-packed weight panel by the exact packed
-    /// GEMM — same numbers, fewer lane words.
+    /// The `Gemm` kernel (`packed == false`) packs `i16` patches in the
+    /// filters' `(ci, ky, kx)` order and runs the blocked integer GEMM.
+    /// The `GemmPacked` kernel writes each sample once into a
+    /// zero-bordered channels-last plane ([`fill_plane`](Self::fill_plane)),
+    /// builds every panel row from `k` block copies out of it at the
+    /// activation width's [`mode_for_bits`] lane geometry
+    /// ([`copy_im2col_rows`](Self::copy_im2col_rows)), and multiplies it
+    /// against the pre-packed `(ky, kx, ci)` weight panel by the exact
+    /// packed GEMM. Integer sums are order-free, so the tap order never
+    /// moves a number.
     fn forward_gemm(
         &self,
-        qa: &QuantizedTensor,
+        qas: &[&QuantizedTensor],
         wbits: u32,
         scratch: &mut Scratch,
         packed: bool,
-    ) -> Result<(Tensor, LayerStats), NnError> {
-        let (_, h, w) = qa.shape;
+    ) -> Result<Vec<(Tensor, LayerStats)>, NnError> {
         let pw = self.packed_weights(wbits)?;
+        let (c, h, w) = qas[0].shape;
         let (oh, ow) = self.out_hw(h, w);
         let f = self.out_channels;
-        let klen = self.in_channels * self.kernel * self.kernel;
+        let klen = c * self.kernel * self.kernel;
         let n = oh * ow;
+        let b = qas.len();
+        let total = b * n;
 
-        scratch.patches.clear();
-        scratch.patches.resize(n * klen, 0);
-        let zero_acts = self.pack_im2col(qa, &mut scratch.patches);
-
-        scratch.acc.clear();
-        scratch.acc.resize(f * n, 0);
+        // The GEMM fully overwrites its output, so only grow the
+        // accumulator — no per-call zero fill of `f * total` elements.
+        if scratch.acc.len() < f * total {
+            scratch.acc.resize(f * total, 0);
+        }
+        let acc = &mut scratch.acc[..f * total];
+        // One concatenated panel: sample `si` owns rows `si*n..(si+1)*n`.
+        let mut zero_acts = Vec::with_capacity(b);
         if packed {
-            scratch
-                .packed
-                .repack(&scratch.patches, n, klen, mode_for_bits(qa.bits));
-            gemm::gemm_packed(&pw.panel, &scratch.packed, &mut scratch.acc);
+            let mode = mode_for_bits(qas[0].bits);
+            let uses_y = self.axis_input_uses(oh, h);
+            let uses_x = self.axis_input_uses(ow, w);
+            let pad = self.padding;
+            scratch.plane.clear();
+            scratch.plane.resize((h + 2 * pad) * (w + 2 * pad) * c, 0);
+            let (words, stride) = scratch.packed.begin_fill(total, klen, mode);
+            scratch.stage.clear();
+            scratch.stage.resize(stride * mode.lanes(), 0);
+            let mut has_min = false;
+            for (qa, block) in qas.iter().zip(words.chunks_exact_mut(n * stride)) {
+                let (zeros, min) =
+                    self.fill_plane(qa, mode, (&uses_y, &uses_x), &mut scratch.plane);
+                let (plane, stage) = (&scratch.plane, &mut scratch.stage);
+                match mode {
+                    SubwordMode::X1 => {
+                        self.copy_im2col_rows::<1, 16>(w, plane, stage, block, stride)
+                    }
+                    SubwordMode::X2 => {
+                        self.copy_im2col_rows::<2, 8>(w, plane, stage, block, stride)
+                    }
+                    SubwordMode::X4 => {
+                        self.copy_im2col_rows::<4, 4>(w, plane, stage, block, stride)
+                    }
+                }
+                zero_acts.push(zeros);
+                has_min |= min;
+            }
+            scratch.packed.finish_fill(has_min);
+            gemm::gemm_packed(&pw.panel, &scratch.packed, acc);
         } else {
-            gemm::gemm_i16(&pw.qi16, &scratch.patches, f, klen, n, &mut scratch.acc);
+            scratch.patches.clear();
+            scratch.patches.resize(total * klen, 0);
+            for (qa, panel) in qas.iter().zip(scratch.patches.chunks_exact_mut(n * klen)) {
+                zero_acts.push(self.pack_im2col(qa, panel));
+            }
+            gemm::gemm_i16(&pw.qi16, &scratch.patches, f, klen, total, acc);
         }
 
         let (macs, zero_weight_macs) = self.gemm_mac_stats(&pw, h, w);
-        let stats = LayerStats {
-            macs,
-            zero_weight_macs,
-            zero_act_macs: f as u64 * zero_acts,
-        };
-
-        let scale = qa.scale * pw.scale;
-        let mut out = Tensor::zeros(f, oh, ow);
-        let data = out.as_mut_slice();
-        for fi in 0..f {
-            let bias = f64::from(self.bias[fi]);
-            for (dst, &acc) in data[fi * n..(fi + 1) * n]
-                .iter_mut()
-                .zip(&scratch.acc[fi * n..(fi + 1) * n])
-            {
-                *dst = (acc as f64 * scale + bias) as f32;
+        // Slice each sample's output columns back out: filter `fi` of
+        // sample `si` lives at `acc[fi*total + si*n ..][..n]`. The scale
+        // stays per-sample (per-tensor quantization grids).
+        let mut results = Vec::with_capacity(b);
+        for (si, qa) in qas.iter().enumerate() {
+            let scale = qa.scale * pw.scale;
+            let mut data = Vec::with_capacity(f * n);
+            for fi in 0..f {
+                let bias = f64::from(self.bias[fi]);
+                let acc_row = &scratch.acc[fi * total + si * n..][..n];
+                data.extend(
+                    acc_row
+                        .iter()
+                        .map(|&acc| (acc as f64 * scale + bias) as f32),
+                );
             }
+            let stats = LayerStats {
+                macs,
+                zero_weight_macs,
+                zero_act_macs: f as u64 * zero_acts[si],
+            };
+            results.push((Tensor::from_vec(f, oh, ow, data), stats));
         }
-        Ok((out, stats))
+        Ok(results)
     }
 
     /// Executes the convolution on a whole batch of already-quantized
-    /// inputs with **one wide GEMM**: each sample's im2col panel (packed
-    /// by the same [`pack_im2col`](Self::pack_im2col) the per-sample path
-    /// uses) becomes `n` extra rows of a shared `(B·n) x k` activation
-    /// panel, so the packed weight panel streams through cache once per
-    /// batch instead of once per sample. Every output element is still an
-    /// independent exact-`i64` dot product over the same operands, so
-    /// outputs and statistics are bit-identical to running
-    /// [`forward_quant`](Self::forward_quant) per sample.
+    /// inputs as **one wide GEMM** ([`forward_gemm`](Self::forward_gemm)).
+    /// Every output element is still an independent exact-`i64` dot
+    /// product over the same operands, so outputs and statistics are
+    /// bit-identical to running [`forward_quant`](Self::forward_quant)
+    /// per sample.
     ///
     /// Falls back to the per-sample path for the naive kernel, single
     /// samples, or mixed grid geometry (still bit-identical — only wall
@@ -665,100 +713,7 @@ impl Conv2d {
                 actual: (c, h, w),
             });
         }
-        let pw = self.packed_weights(wbits)?;
-        let (oh, ow) = self.out_hw(h, w);
-        let f = self.out_channels;
-        let klen = self.in_channels * self.kernel * self.kernel;
-        let n = oh * ow;
-        let b = qas.len();
-        let total = b * n;
-
-        // One concatenated panel: sample `si` owns rows `si*n..(si+1)*n`.
-        let mode = mode_for_bits(qas[0].bits);
-        let mut zero_acts = Vec::with_capacity(b);
-        if kernel == NnKernel::GemmPacked {
-            // im2col packs the wide panel directly at the activation
-            // mode's lane geometry — no i16 staging buffer and no repack
-            // pass ([`pack_im2col_packed`] walks the same taps as
-            // `pack_im2col`). The panel is pooled per fill structure, so
-            // a repeated `X1` fill of this exact geometry (every suffix
-            // re-forward of a precision scan) skips the zeroing pass.
-            let key = conv_fill_key(
-                self.in_channels,
-                h,
-                w,
-                self.kernel,
-                self.stride,
-                self.padding,
-                b,
-            );
-            let (panel, acc) = scratch.pooled_panel_and_acc(key.unwrap_or(u64::MAX));
-            // The GEMM fully overwrites its output, so only grow the
-            // accumulator — no per-call zero fill of `f * total` elements.
-            if acc.len() < f * total {
-                acc.resize(f * total, 0);
-            }
-            let acc = &mut acc[..f * total];
-            let (words, stride, _) = if let Some(key) = key {
-                panel.begin_fill_reuse(key, total, klen, mode)
-            } else {
-                let (words, stride) = panel.begin_fill(total, klen, mode);
-                (words, stride, false)
-            };
-            let mut has_min = false;
-            for (si, qa) in qas.iter().enumerate() {
-                let block = &mut words[si * n * stride..(si + 1) * n * stride];
-                let (zeros, min) = match mode {
-                    SubwordMode::X1 => {
-                        self.pack_im2col_packed::<1, 16, { i16::MIN as i32 }>(qa, block, stride)
-                    }
-                    SubwordMode::X2 => self.pack_im2col_packed::<2, 8, -128>(qa, block, stride),
-                    SubwordMode::X4 => self.pack_im2col_packed::<4, 4, -8>(qa, block, stride),
-                };
-                zero_acts.push(zeros);
-                has_min |= min;
-            }
-            panel.finish_fill(has_min);
-            gemm::gemm_packed(&pw.panel, panel, acc);
-        } else {
-            if scratch.acc.len() < f * total {
-                scratch.acc.resize(f * total, 0);
-            }
-            let acc = &mut scratch.acc[..f * total];
-            scratch.patches.clear();
-            scratch.patches.resize(total * klen, 0);
-            for (si, qa) in qas.iter().enumerate() {
-                let panel = &mut scratch.patches[si * n * klen..(si + 1) * n * klen];
-                zero_acts.push(self.pack_im2col(qa, panel));
-            }
-            gemm::gemm_i16(&pw.qi16, &scratch.patches, f, klen, total, acc);
-        }
-
-        let (macs, zero_weight_macs) = self.gemm_mac_stats(&pw, h, w);
-        // Slice each sample's output columns back out: filter `fi` of
-        // sample `si` lives at `acc[fi*total + si*n ..][..n]`. The scale
-        // stays per-sample (per-tensor quantization grids).
-        let mut results = Vec::with_capacity(b);
-        for (si, qa) in qas.iter().enumerate() {
-            let scale = qa.scale * pw.scale;
-            let mut data = Vec::with_capacity(f * n);
-            for fi in 0..f {
-                let bias = f64::from(self.bias[fi]);
-                let acc_row = &scratch.acc[fi * total + si * n..][..n];
-                data.extend(
-                    acc_row
-                        .iter()
-                        .map(|&acc| (acc as f64 * scale + bias) as f32),
-                );
-            }
-            let stats = LayerStats {
-                macs,
-                zero_weight_macs,
-                zero_act_macs: f as u64 * zero_acts[si],
-            };
-            results.push((Tensor::from_vec(f, oh, ow, data), stats));
-        }
-        Ok(results)
+        self.forward_gemm(qas, wbits, scratch, kernel == NnKernel::GemmPacked)
     }
 
     /// MACs for one forward pass on an input of shape `(c, h, w)` —
@@ -1041,24 +996,18 @@ impl Dense {
         let b = qas.len();
         let mode = mode_for_bits(qas[0].bits);
         let mut zero_counts = Vec::with_capacity(b);
+        // The GEMM fully overwrites its output, so only grow the
+        // accumulator — no per-call zero fill.
+        if scratch.acc.len() < self.outputs * b {
+            scratch.acc.resize(self.outputs * b, 0);
+        }
+        let acc = &mut scratch.acc[..self.outputs * b];
         if kernel == NnKernel::GemmPacked {
-            // Direct panel fill at the activation mode's lane geometry —
-            // each sample's vector is one panel row, deposited over the
-            // pre-zeroed buffer (see the conv batch path). The dense walk
-            // writes every operand word, so its pooled panel reuses
-            // without re-zeroing under the shared dense key (the
-            // structure is fully pinned by the `(rows, k, mode)` check).
-            let (panel, acc) = scratch.pooled_panel_and_acc(DENSE_FILL_KEY);
-            // The GEMM fully overwrites its output, so only grow the
-            // accumulator — no per-call zero fill.
-            if acc.len() < self.outputs * b {
-                acc.resize(self.outputs * b, 0);
-            }
-            let acc = &mut acc[..self.outputs * b];
-            let (words, stride, _) = panel.begin_fill_reuse(DENSE_FILL_KEY, b, self.inputs, mode);
+            // Direct panel fill at the activation mode's lane geometry:
+            // each sample's vector is one panel row, every word written.
+            let (words, stride) = scratch.packed.begin_fill(b, self.inputs, mode);
             let mut has_min = false;
-            for (si, qa) in qas.iter().enumerate() {
-                let row = &mut words[si * stride..(si + 1) * stride];
+            for (qa, row) in qas.iter().zip(words.chunks_exact_mut(stride)) {
                 let (zeros, min) = match mode {
                     SubwordMode::X1 => fill_row_packed::<1, 16, { i16::MIN as i32 }>(&qa.data, row),
                     SubwordMode::X2 => fill_row_packed::<2, 8, -128>(&qa.data, row),
@@ -1067,13 +1016,9 @@ impl Dense {
                 zero_counts.push(zeros);
                 has_min |= min;
             }
-            panel.finish_fill(has_min);
-            gemm::gemm_packed(&pw.panel, panel, acc);
+            scratch.packed.finish_fill(has_min);
+            gemm::gemm_packed(&pw.panel, &scratch.packed, acc);
         } else {
-            if scratch.acc.len() < self.outputs * b {
-                scratch.acc.resize(self.outputs * b, 0);
-            }
-            let acc = &mut scratch.acc[..self.outputs * b];
             scratch.patches.clear();
             scratch.patches.resize(b * self.inputs, 0);
             for (si, qa) in qas.iter().enumerate() {
@@ -1227,21 +1172,27 @@ impl Layer {
                 }
                 let oh = (h - k) / stride + 1;
                 let ow = (w - k) / stride + 1;
-                let mut out = Tensor::zeros(c, oh, ow);
+                // Row-slice walk over each channel plane; the `ky`-then-`kx`
+                // max order within a window is fixed, so ±0/NaN results
+                // never depend on the walk.
+                let src = input.as_slice();
+                let mut data = Vec::with_capacity(c * oh * ow);
                 for ci in 0..c {
+                    let plane = &src[ci * h * w..][..h * w];
                     for oy in 0..oh {
                         for ox in 0..ow {
                             let mut m = f32::NEG_INFINITY;
                             for ky in 0..*k {
-                                for kx in 0..*k {
-                                    m = m.max(input.get(ci, oy * stride + ky, ox * stride + kx));
+                                let row = &plane[(oy * stride + ky) * w + ox * stride..][..*k];
+                                for &v in row {
+                                    m = m.max(v);
                                 }
                             }
-                            out.set(ci, oy, ox, m);
+                            data.push(m);
                         }
                     }
                 }
-                Ok((out, LayerStats::default()))
+                Ok((Tensor::from_vec(c, oh, ow, data), LayerStats::default()))
             }
         }
     }

@@ -52,10 +52,7 @@ impl QuantizedTensor {
         let data = t
             .as_slice()
             .iter()
-            .map(|&v| {
-                let q = (f64::from(v) / scale).round();
-                q.clamp(f64::from(-qmax), f64::from(qmax)) as i32
-            })
+            .map(|&v| round_to_grid(f64::from(v) / scale, qmax))
             .collect();
         Ok(QuantizedTensor {
             data,
@@ -109,6 +106,23 @@ impl QuantizedTensor {
             (1i32 << (self.bits - 1)) - 1
         }
     }
+}
+
+/// `x.round().clamp(-qmax, qmax) as i32` — round half away from zero,
+/// then saturate to the grid — without the libm `round` call, so the
+/// quantize loop vectorizes. `x` is first clamped to `±(qmax + 1)`: that
+/// moves no result (anything past it saturates either way) and bounds
+/// `|x| <= 2^15`, where `x - trunc(x)` is exact in `f64`. Truncation
+/// plus one step away from zero when that exact fraction reaches `0.5`
+/// is then exactly `f64::round`. `x` must not be NaN.
+#[inline]
+fn round_to_grid(x: f64, qmax: i32) -> i32 {
+    let lim = f64::from(qmax + 1);
+    let x = x.clamp(-lim, lim);
+    let t = x as i32;
+    let frac = x - f64::from(t);
+    let q = t + i32::from(frac >= 0.5) - i32::from(frac <= -0.5);
+    q.clamp(-qmax, qmax)
 }
 
 /// Root-mean-square quantization error of a tensor at a bit width.
@@ -226,6 +240,87 @@ mod tests {
         t.set(0, 0, 0, f32::MAX);
         t.set(0, 0, 1, f32::MIN);
         assert!(QuantizedTensor::quantize(&t, 8).is_ok());
+    }
+
+    mod rounding {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The former libm expression, kept as the oracle.
+        fn oracle(x: f64, qmax: i32) -> i32 {
+            x.round().clamp(f64::from(-qmax), f64::from(qmax)) as i32
+        }
+
+        /// `x` and its two `f64` neighbours.
+        fn with_neighbours(x: f64) -> [f64; 3] {
+            [x.next_down(), x, x.next_up()]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// `round_to_grid` is `f64::round` then saturation, bit for
+            /// bit: on random finite `f32` values (raw and over a grid
+            /// scale), on exact `.5` ties and their neighbours, and at and
+            /// just past `±qmax`, for every width.
+            #[test]
+            fn round_to_grid_matches_f64_round(
+                raw in any::<u32>(),
+                max_raw in any::<u32>(),
+                tie in -40_000i32..=40_000,
+                bits in 1u32..=16,
+            ) {
+                let qmax = if bits == 1 { 1 } else { (1i32 << (bits - 1)) - 1 };
+                let mut xs = Vec::new();
+                let v = f32::from_bits(raw);
+                let max_abs = f32::from_bits(max_raw).abs();
+                if v.is_finite() {
+                    xs.push(f64::from(v));
+                    if max_abs.is_finite() && max_abs > 0.0 {
+                        xs.push(f64::from(v) / (f64::from(max_abs) / f64::from(qmax)));
+                    }
+                }
+                let q = f64::from(qmax);
+                for x in [
+                    f64::from(tie) + 0.5,
+                    f64::from(tie) - 0.5,
+                    f64::from(tie % (qmax + 2)) + 0.5,
+                    0.5,
+                    0.0,
+                    q,
+                    q + 0.5,
+                    q + 1.0,
+                    q + 1.5,
+                    q - 0.5,
+                ] {
+                    for x in with_neighbours(x) {
+                        xs.extend([x, -x]);
+                    }
+                }
+                for x in xs {
+                    prop_assert_eq!(round_to_grid(x, qmax), oracle(x, qmax), "x={} bits={}", x, bits);
+                }
+            }
+
+            /// Through `quantize`: every grid index equals the oracle
+            /// applied to `v / scale`.
+            #[test]
+            fn quantize_rounds_like_f64_round(
+                seed in any::<u64>(),
+                bits in 1u32..=16,
+                gain in 1e-3f32..1e3,
+            ) {
+                let mut t = Tensor::random(2, 5, 5, seed);
+                for v in t.as_mut_slice() {
+                    *v *= gain;
+                }
+                let q = QuantizedTensor::quantize(&t, bits).unwrap();
+                let qmax = q.qmax();
+                for (&v, &got) in t.as_slice().iter().zip(&q.data) {
+                    prop_assert_eq!(got, oracle(f64::from(v) / q.scale, qmax), "v={} bits={}", v, bits);
+                }
+            }
+        }
     }
 
     mod purity {

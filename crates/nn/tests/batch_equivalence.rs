@@ -146,6 +146,69 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// One `Conv2d` layer over random geometry through the layer-major
+    /// fused batch: channel counts 1..=5 and kernels 1..=5 (odd `k·c`
+    /// tap runs straddle `X2`/`X4` lane words), strides 1..=5, padding
+    /// 0..=5 (padding >= kernel included, so whole output rows read
+    /// only padding), batches 1..=5, and widths 1..=16 on both operands
+    /// (every `SubwordMode`). Outputs and `LayerStats` must equal the
+    /// naive kernel's bit for bit on both GEMM kernels.
+    #[test]
+    fn conv_batch_random_geometry_matches_naive(
+        seed in any::<u64>(),
+        in_c in 1usize..=5,
+        out_c in 1usize..=4,
+        k in 1usize..=5,
+        stride in 1usize..=5,
+        padding in 0usize..=5,
+        h in 1usize..=9,
+        w in 1usize..=9,
+        b in 1usize..=5,
+        wbits in 1u32..=16,
+        abits in 1u32..=16,
+    ) {
+        // The padded input must hold at least one window.
+        let (h, w) = (h.max(k.saturating_sub(2 * padding)), w.max(k.saturating_sub(2 * padding)));
+        let imgs: Vec<Tensor> = (0..b)
+            .map(|i| {
+                let mut t = Tensor::random(in_c, h, w, seed ^ (i as u64 + 1) << 16);
+                // Exact zeros at every width, so zero counting is exercised.
+                for v in t.as_mut_slice().iter_mut().step_by(5) {
+                    *v = 0.0;
+                }
+                t
+            })
+            .collect();
+        let cfg = QuantConfig::uniform(1, wbits, abits);
+        let conv = Conv2d::random(in_c, out_c, k, stride, padding, seed);
+        let net = |kernel| {
+            Network::new("conv", vec![Layer::Conv2d(conv.clone())])
+                .with_kernel(kernel)
+                .with_batch_path(BatchPath::LayerMajor)
+                .with_batch_size(b)
+        };
+        let oracle = net(NnKernel::Naive)
+            .forward_batch(&imgs, &cfg, &mut Scratch::new())
+            .expect("naive inference");
+        for kernel in [NnKernel::Gemm, NnKernel::GemmPacked] {
+            let got = net(kernel)
+                .forward_batch(&imgs, &cfg, &mut Scratch::new())
+                .expect("gemm inference");
+            prop_assert_eq!(oracle.len(), got.len());
+            for ((out_n, st_n), (out_g, st_g)) in oracle.iter().zip(got.iter()) {
+                prop_assert_eq!(st_n, st_g, "{} statistics diverged", kernel);
+                prop_assert_eq!(out_n.shape(), out_g.shape());
+                let nb: Vec<u32> = out_n.as_slice().iter().map(|v| v.to_bits()).collect();
+                let gb: Vec<u32> = out_g.as_slice().iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(nb, gb, "{} outputs diverged bitwise", kernel);
+            }
+        }
+    }
+}
+
 /// The boundary widths pinned explicitly: B = 1 (every chunk degenerates
 /// to the per-sample path), B that does not divide the sample count
 /// (ragged tail), and B past the sample count (one short chunk).

@@ -157,7 +157,7 @@ pub const PACK_STEP_LANES: usize = 16;
 /// walk the same step count regardless of their (possibly different)
 /// modes — which is how a 4-bit weight panel dots against a 16-bit
 /// activation panel.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PackedPanel {
     mode: SubwordMode,
     rows: usize,
@@ -169,31 +169,8 @@ pub struct PackedPanel {
     /// explicit cross-term correction is engaged only when both operand
     /// panels can produce it.
     has_min: bool,
-    /// Whether the current contents were written through a completed
-    /// [`begin_fill`](Self::begin_fill)/
-    /// [`begin_fill_reuse`](Self::begin_fill_reuse) cycle — the
-    /// precondition for the zeroing skip of `begin_fill_reuse`. Execution
-    /// state, not panel identity: ignored by `PartialEq`.
-    direct_filled: bool,
-    /// The structure key of the last direct fill (see
-    /// [`begin_fill_reuse`](Self::begin_fill_reuse)); execution state,
-    /// ignored by `PartialEq`.
-    fill_key: u64,
     words: Vec<u16>,
 }
-
-impl PartialEq for PackedPanel {
-    fn eq(&self, other: &Self) -> bool {
-        self.mode == other.mode
-            && self.rows == other.rows
-            && self.k == other.k
-            && self.words_per_row == other.words_per_row
-            && self.has_min == other.has_min
-            && self.words == other.words
-    }
-}
-
-impl Eq for PackedPanel {}
 
 impl PackedPanel {
     /// Packs `values` (`rows x k`, row-major) at `mode`'s lane geometry.
@@ -228,7 +205,6 @@ impl PackedPanel {
         self.k = k;
         self.words_per_row = words_per_row;
         self.has_min = false;
-        self.direct_filled = false;
         self.words.clear();
         self.words.reserve(rows * words_per_row);
         let mut has_min = false;
@@ -297,76 +273,34 @@ impl PackedPanel {
     }
 
     /// Resets this panel to a `rows x k` geometry at `mode`, handing the
-    /// caller the **zeroed** word buffer and the row stride in words
-    /// (`k` padded to [`PACK_STEP_LANES`] lanes, divided by
-    /// `mode.lanes()`) to fill in place. A producer that already walks
-    /// its operands — an im2col pass, say — can pack them directly
-    /// instead of staging an `i16` buffer for [`repack`](Self::repack)
-    /// to re-read: one write pass instead of write + read + write.
+    /// caller the word buffer and the row stride in words (`k` padded to
+    /// [`PACK_STEP_LANES`] lanes, divided by `mode.lanes()`) to fill in
+    /// place. A producer that already walks its operands — an im2col
+    /// pass, say — can pack them directly instead of staging an `i16`
+    /// buffer for [`repack`](Self::repack) to re-read: one write pass
+    /// instead of write + read + write.
     ///
     /// Contract: operand `t` of row `i` lives in word
     /// `i * stride + t / lanes`, as the `pack_lanes` two's-complement
     /// field at bits `(t % lanes) * lane_bits ..` (at `X1` the word IS
-    /// the operand, `v as u16`). The buffer starts all-zero, so zero
-    /// operands, padding lanes, and padding words may simply be left
-    /// untouched, and sub-word fields can be deposited with `|=`. Every
-    /// value must fit the mode's lane range (this path skips
-    /// [`repack`](Self::repack)'s range assert — callers feed quantizer
-    /// output that fits by construction). Finish with
-    /// [`finish_fill`](Self::finish_fill) reporting whether any stored
-    /// operand was the mode's most negative lane value — the panel is
-    /// not a valid dot operand until then.
+    /// the operand, `v as u16`). The buffer is **not** zeroed — it holds
+    /// whatever the previous use left — so the caller writes every word
+    /// of every row: zero operands, padding lanes and the padding words
+    /// of the row tail included. Every value must fit the mode's lane
+    /// range (this path skips [`repack`](Self::repack)'s range assert —
+    /// callers feed quantizer output that fits by construction). Finish
+    /// with [`finish_fill`](Self::finish_fill) reporting whether any
+    /// stored operand was the mode's most negative lane value — the
+    /// panel is not a valid dot operand until then.
     pub fn begin_fill(&mut self, rows: usize, k: usize, mode: SubwordMode) -> (&mut [u16], usize) {
-        // Anonymous fills never reuse: force the zeroing path.
-        self.direct_filled = false;
-        let (words, stride, _) = self.begin_fill_reuse(0, rows, k, mode);
-        (words, stride)
-    }
-
-    /// [`begin_fill`](Self::begin_fill) with a structural-reuse fast
-    /// path: when the panel's current contents came from a **completed**
-    /// direct fill of the same `(rows, k, mode)` geometry and the same
-    /// caller-supplied structure `key`, and the mode is `X1`, the word
-    /// buffer is handed back **without re-zeroing** (third return `true`).
-    /// Sound because an `X1` refill of identical structure overwrites
-    /// every in-bounds operand word unconditionally while its
-    /// structural-zero words (padding taps, row tails) were never written
-    /// and still hold the original zeros. Sub-word modes deposit fields
-    /// with `|=`, so they always get a freshly zeroed buffer (third
-    /// return `false`).
-    ///
-    /// `key` must capture everything that determines which words the
-    /// caller's walk writes (for an im2col fill: the full conv geometry
-    /// and batch shape) — two fills sharing a key must write the exact
-    /// same word positions.
-    pub fn begin_fill_reuse(
-        &mut self,
-        key: u64,
-        rows: usize,
-        k: usize,
-        mode: SubwordMode,
-    ) -> (&mut [u16], usize, bool) {
         let words_per_row = k.next_multiple_of(PACK_STEP_LANES) / mode.lanes();
-        let need = rows * words_per_row;
-        let retained = mode == SubwordMode::X1
-            && self.direct_filled
-            && self.fill_key == key
-            && self.rows == rows
-            && self.k == k
-            && self.mode == mode
-            && self.words.len() == need;
         self.mode = mode;
         self.rows = rows;
         self.k = k;
         self.words_per_row = words_per_row;
         self.has_min = false;
-        self.direct_filled = false;
-        self.fill_key = key;
-        if !retained {
-            self.words.clear();
-            self.words.resize(need, 0);
-        }
-        (&mut self.words, words_per_row, retained)
+        self.words.resize(rows * words_per_row, 0);
+        (&mut self.words, words_per_row)
     }
 
     /// Completes a [`begin_fill`](Self::begin_fill) fill: `has_min` is
@@ -375,7 +309,6 @@ impl PackedPanel {
     /// the exact `X1 x X1` kernel).
     pub fn finish_fill(&mut self, has_min: bool) {
         self.has_min = has_min;
-        self.direct_filled = true;
     }
 
     /// The subword mode the panel is packed at.
@@ -1512,10 +1445,11 @@ mod tests {
         }
     }
 
-    /// `begin_fill_x1` + caller stores + `finish_fill_x1` must build a
-    /// panel indistinguishable from `pack` at `X1` — words, geometry and
-    /// the `has_min` flag — including a ragged `k` (padding words stay
-    /// zero) and the `i16::MIN` corner that picks the correcting kernel.
+    /// `begin_fill` + caller stores + `finish_fill` must build a panel
+    /// indistinguishable from `pack` — words, geometry and the `has_min`
+    /// flag — including a ragged `k` (the caller writes the zero padding
+    /// words itself) and the mode-`MIN` corner that picks the correcting
+    /// kernel.
     #[test]
     fn direct_fill_matches_pack() {
         for mode in [SubwordMode::X1, SubwordMode::X2, SubwordMode::X4] {
@@ -1527,21 +1461,24 @@ mod tests {
                 }
                 let reference = PackedPanel::pack(&values, rows, k, mode);
                 let mut direct = PackedPanel::default();
-                // Dirty the buffer so the test proves begin_fill hands
-                // back a zeroed buffer rather than leftovers.
+                // Dirty the buffer: begin_fill hands it back unzeroed, so
+                // the caller's stores alone must define every word.
                 direct.repack(&vec![1i16; rows * k], rows, k, mode);
                 let (words, stride) = direct.begin_fill(rows, k, mode);
-                // Merge operand fields; zeros, padding lanes and padding
-                // words stay at the pre-zeroed state.
                 let lanes = mode.lanes();
                 let wbits = mode.lane_bits();
                 let mask = ((1u32 << wbits) - 1) as u16;
                 let mut has_min = false;
                 for (r, row) in values.chunks_exact(k).enumerate() {
-                    for (t, &v) in row.iter().enumerate() {
-                        has_min |= v == min;
-                        words[r * stride + t / lanes] |=
-                            ((v as u16) & mask) << ((t % lanes) as u16 * wbits as u16);
+                    for (wi, word) in words[r * stride..(r + 1) * stride].iter_mut().enumerate() {
+                        // Lanes past `k` (and whole words past it) are zero.
+                        let mut packed = 0u16;
+                        for l in 0..lanes {
+                            let v = row.get(wi * lanes + l).copied().unwrap_or(0);
+                            has_min |= v == min;
+                            packed |= ((v as u16) & mask) << (l as u16 * wbits as u16);
+                        }
+                        *word = packed;
                     }
                 }
                 direct.finish_fill(has_min);
