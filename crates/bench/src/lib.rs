@@ -43,7 +43,7 @@
 pub mod cli;
 
 use dvafs::executor::Executor;
-use dvafs::nn::{BatchPath, NnKernel, SearchStrategy, DEFAULT_BATCH_SIZE};
+use dvafs::nn::{NnKernel, SearchStrategy, DEFAULT_BATCH_SIZE};
 use dvafs::scenario::{self, ScenarioCtx};
 
 pub use dvafs::report::{bench_sweep_json, median_time_ms, time_ms, SweepTiming};
@@ -64,7 +64,7 @@ pub struct BenchArgs {
     pub fast: bool,
     /// Output path override for artefact-writing binaries (`--out PATH`).
     pub out: Option<String>,
-    /// NN MAC kernel (`--kernel naive|gemm|packed`, default packed).
+    /// NN MAC kernel (`--kernel naive|packed`, default packed).
     pub kernel: NnKernel,
     /// Precision-search strategy (`--search rescan|incremental`, default
     /// incremental).
@@ -72,10 +72,8 @@ pub struct BenchArgs {
     /// Timed repeats per `bench_sweep` measurement (`--repeats N`,
     /// default 3).
     pub repeats: usize,
-    /// NN batch forward path (`--batch-path sample|layer`, default
-    /// layer; results are bit-identical either way).
-    pub batch_path: BatchPath,
-    /// Samples per layer-major chunk (`--batch-size N`, default 16).
+    /// Samples per batched-forward chunk (`--batch-size N`, default 16;
+    /// results are bit-identical for any size).
     pub batch_size: usize,
 }
 
@@ -135,7 +133,7 @@ impl BenchArgs {
         };
         let kernel = if args.iter().any(|a| a == "--kernel") {
             let v = value_of("--kernel")
-                .unwrap_or_else(|| panic!("--kernel requires a value (naive|gemm|packed)"));
+                .unwrap_or_else(|| panic!("--kernel requires a value (naive|packed)"));
             NnKernel::parse(&v).unwrap_or_else(|e| panic!("{e}"))
         } else {
             NnKernel::default()
@@ -157,13 +155,6 @@ impl BenchArgs {
         } else {
             3
         };
-        let batch_path = if args.iter().any(|a| a == "--batch-path") {
-            let v = value_of("--batch-path")
-                .unwrap_or_else(|| panic!("--batch-path requires a value (sample|layer)"));
-            BatchPath::parse(&v).unwrap_or_else(|e| panic!("{e}"))
-        } else {
-            BatchPath::default()
-        };
         let batch_size = if args.iter().any(|a| a == "--batch-size") {
             value_of("--batch-size")
                 .and_then(|v| v.parse::<usize>().ok())
@@ -181,7 +172,6 @@ impl BenchArgs {
             kernel,
             search,
             repeats,
-            batch_path,
             batch_size,
         }
     }
@@ -201,7 +191,6 @@ impl BenchArgs {
             .with_kernel(self.kernel)
             .with_search(self.search)
             .with_repeats(self.repeats)
-            .with_batch_path(self.batch_path)
             .with_batch_size(self.batch_size)
     }
 }
@@ -258,8 +247,6 @@ mod tests {
             "rescan",
             "--repeats",
             "2",
-            "--batch-path",
-            "sample",
             "--batch-size",
             "4",
         ]));
@@ -269,7 +256,6 @@ mod tests {
         assert_eq!(a.kernel, NnKernel::Naive);
         assert_eq!(a.search, SearchStrategy::Rescan);
         assert_eq!(a.repeats, 2);
-        assert_eq!(a.batch_path, BatchPath::SampleMajor);
         assert_eq!(a.batch_size, 4);
         assert_eq!(a.executor().threads(), 3);
         let ctx = a.ctx();
@@ -277,7 +263,6 @@ mod tests {
         assert_eq!(ctx.kernel, NnKernel::Naive);
         assert_eq!(ctx.search, SearchStrategy::Rescan);
         assert_eq!(ctx.repeats, 2);
-        assert_eq!(ctx.batch_path, BatchPath::SampleMajor);
         assert_eq!(ctx.batch_size, 4);
     }
 
@@ -286,7 +271,6 @@ mod tests {
         let a = BenchArgs::from_slice(&argv(&["--bogus", "--threads", "2"]));
         assert_eq!(a.threads, 2);
         assert!(!a.fast);
-        assert_eq!(a.batch_path, BatchPath::LayerMajor);
         assert_eq!(a.batch_size, DEFAULT_BATCH_SIZE);
     }
 
@@ -318,12 +302,6 @@ mod tests {
     #[should_panic(expected = "--repeats requires a positive integer")]
     fn zero_repeats_is_fatal() {
         let _ = BenchArgs::from_slice(&argv(&["--repeats", "0"]));
-    }
-
-    #[test]
-    #[should_panic(expected = "sample|layer")]
-    fn bad_batch_path_value_is_fatal() {
-        let _ = BenchArgs::from_slice(&argv(&["--batch-path", "diagonal"]));
     }
 
     #[test]

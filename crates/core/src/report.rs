@@ -104,12 +104,13 @@ pub fn fmt_e(v: f64) -> String {
 
 /// One timed scenario of the `bench_sweep` performance record.
 ///
-/// Four comparisons share the record, all against `serial_ms` (one
-/// thread, bitsliced engine, subword-packed GEMM kernel — the shipping
-/// configuration): thread scaling (`parallel_ms`), netlist-engine scaling
-/// (`scalar_ms`, the scalar-oracle engine), NN-kernel scaling against
-/// both retained oracles (`naive_ms`, the naive MAC loops, and `gemm_ms`,
-/// the plain blocked GEMM) and precision-search scaling (`rescan_ms`).
+/// Five comparisons share the record, all against `serial_ms` (one
+/// thread, bitsliced engine, subword-packed GEMM kernel, batched forward
+/// — the shipping configuration): thread scaling (`parallel_ms`),
+/// netlist-engine scaling (`scalar_ms`, the scalar-oracle engine),
+/// NN-kernel scaling (`naive_ms`, the naive MAC loops), precision-search
+/// scaling (`rescan_ms`) and batch scaling (`sample_major_ms`, batch
+/// size 1).
 /// Every wall time is a median of N timed repeats after a warmup pass
 /// (N is `ScenarioCtx::repeats`).
 #[derive(Debug, Clone, PartialEq)]
@@ -129,18 +130,14 @@ pub struct SweepTiming {
     /// kernel — the original reference oracle. Scenarios without a CNN in
     /// the loop time close to `serial_ms`.
     pub naive_ms: f64,
-    /// Serial (1-thread) wall time in milliseconds on the plain blocked
-    /// GEMM kernel — the oracle the subword-packed GEMM is timed against.
-    /// Scenarios without a CNN in the loop time close to `serial_ms`.
-    pub gemm_ms: f64,
     /// Serial wall time with the rescan precision-search oracle (the
     /// pre-incremental full-forward scan). Scenarios without a precision
     /// search in the loop time close to `serial_ms`.
     pub rescan_ms: f64,
-    /// Serial wall time on the per-sample forward oracle
-    /// (`BatchPath::SampleMajor`) — the pre-batching baseline the shipping
-    /// layer-major fused-batch forward is timed against. Scenarios without
-    /// a CNN in the loop time close to `serial_ms`.
+    /// Serial wall time at batch size 1 (each sample walks the network
+    /// alone) — the pre-batching baseline the shipping fused-batch
+    /// forward is timed against. Scenarios without a CNN in the loop time
+    /// close to `serial_ms`.
     pub sample_major_ms: f64,
 }
 
@@ -177,17 +174,6 @@ impl SweepTiming {
         }
     }
 
-    /// Gemm-over-packed NN-kernel speedup at one thread (> 1 means the
-    /// subword-packed GEMM beat the plain blocked GEMM).
-    #[must_use]
-    pub fn packed_speedup(&self) -> f64 {
-        if self.serial_ms > 0.0 {
-            self.gemm_ms / self.serial_ms
-        } else {
-            0.0
-        }
-    }
-
     /// Rescan-over-incremental precision-search speedup at one thread
     /// (> 1 means the prefix-cached incremental search won).
     #[must_use]
@@ -199,8 +185,8 @@ impl SweepTiming {
         }
     }
 
-    /// Sample-major-over-layer-major batch-path speedup at one thread
-    /// (> 1 means the fused wide-GEMM batch forward won).
+    /// Batch-size-1-over-batched speedup at one thread (> 1 means the
+    /// fused wide-GEMM batch forward won).
     #[must_use]
     pub fn batch_speedup(&self) -> f64 {
         if self.serial_ms > 0.0 {
@@ -246,12 +232,11 @@ pub fn median_time_ms<R>(repeats: usize, mut f: impl FnMut() -> R) -> (f64, R) {
 /// Renders the `BENCH_sweep.json` document: per-scenario serial vs
 /// parallel wall time, scalar-engine vs bitsliced-engine wall time
 /// (`bitsliced_ms` repeats `serial_ms` so the engine columns read as a
-/// pair), naive-kernel and plain-GEMM-kernel wall time against the
-/// shipping subword-packed kernel (`packed_ms` likewise repeats
-/// `serial_ms`; `gemm_ms` is the *measured* plain-GEMM oracle time),
-/// per-sample-oracle vs layer-major fused-batch wall time
-/// (`layer_major_ms` repeats `serial_ms`; `sample_major_ms` is the
-/// measured per-sample oracle time), the measured thread count, the host
+/// pair), naive-kernel wall time against the shipping subword-packed
+/// kernel (`packed_ms` likewise repeats `serial_ms`), batch-size-1 vs
+/// fused-batch wall time (`layer_major_ms` repeats `serial_ms`;
+/// `sample_major_ms` is the measured batch-size-1 time), the measured
+/// thread count, the host
 /// parallelism, and the per-measurement repeat count, so the workspace's
 /// performance trajectory is recorded per commit by CI.
 #[must_use]
@@ -267,9 +252,9 @@ pub fn bench_sweep_json(
             format!(
                 "    {{\"figure\":\"{}\",\"serial_ms\":{:.3},\"parallel_ms\":{:.3},\
                  \"speedup\":{:.3},\"scalar_ms\":{:.3},\"bitsliced_ms\":{:.3},\
-                 \"engine_speedup\":{:.3},\"naive_ms\":{:.3},\"gemm_ms\":{:.3},\
+                 \"engine_speedup\":{:.3},\"naive_ms\":{:.3},\
                  \"packed_ms\":{:.3},\"kernel_speedup\":{:.3},\
-                 \"packed_speedup\":{:.3},\"rescan_ms\":{:.3},\
+                 \"rescan_ms\":{:.3},\
                  \"incremental_ms\":{:.3},\"search_speedup\":{:.3},\
                  \"sample_major_ms\":{:.3},\"layer_major_ms\":{:.3},\
                  \"batch_speedup\":{:.3}}}",
@@ -281,10 +266,8 @@ pub fn bench_sweep_json(
                 t.serial_ms,
                 t.engine_speedup(),
                 t.naive_ms,
-                t.gemm_ms,
                 t.serial_ms,
                 t.kernel_speedup(),
-                t.packed_speedup(),
                 t.rescan_ms,
                 t.serial_ms,
                 t.search_speedup(),
@@ -679,14 +662,12 @@ mod tests {
             parallel_ms: 25.0,
             scalar_ms: 800.0,
             naive_ms: 450.0,
-            gemm_ms: 250.0,
             rescan_ms: 350.0,
             sample_major_ms: 150.0,
         };
         assert!((t.speedup() - 4.0).abs() < 1e-12);
         assert!((t.engine_speedup() - 8.0).abs() < 1e-12);
         assert!((t.kernel_speedup() - 4.5).abs() < 1e-12);
-        assert!((t.packed_speedup() - 2.5).abs() < 1e-12);
         assert!((t.search_speedup() - 3.5).abs() < 1e-12);
         assert!((t.batch_speedup() - 1.5).abs() < 1e-12);
         let zero = SweepTiming {
@@ -697,7 +678,6 @@ mod tests {
         assert_eq!(zero.speedup(), 0.0);
         assert_eq!(zero.engine_speedup(), 0.0);
         assert_eq!(zero.kernel_speedup(), 0.0);
-        assert_eq!(zero.packed_speedup(), 0.0);
         assert_eq!(zero.search_speedup(), 0.0);
         assert_eq!(zero.batch_speedup(), 0.0);
     }
@@ -711,7 +691,6 @@ mod tests {
                 parallel_ms: 0.5,
                 scalar_ms: 6.0,
                 naive_ms: 4.5,
-                gemm_ms: 2.0,
                 rescan_ms: 3.0,
                 sample_major_ms: 2.5,
             }],
@@ -728,10 +707,9 @@ mod tests {
         assert!(doc.contains("\"bitsliced_ms\":1.000"));
         assert!(doc.contains("\"engine_speedup\":6.000"));
         assert!(doc.contains("\"naive_ms\":4.500"));
-        assert!(doc.contains("\"gemm_ms\":2.000"));
         assert!(doc.contains("\"packed_ms\":1.000"));
         assert!(doc.contains("\"kernel_speedup\":4.500"));
-        assert!(doc.contains("\"packed_speedup\":2.000"));
+        assert!(!doc.contains("gemm_ms") && !doc.contains("packed_speedup"));
         assert!(doc.contains("\"rescan_ms\":3.000"));
         assert!(doc.contains("\"incremental_ms\":1.000"));
         assert!(doc.contains("\"search_speedup\":3.000"));

@@ -51,7 +51,6 @@ impl Scenario for CnnLayerwise {
         // A LeNet-5 with realistic (pruned) weight sparsity.
         let mut net = models::lenet5(ctx.seed + 6)
             .with_kernel(ctx.kernel)
-            .with_batch_path(ctx.batch_path)
             .with_batch_size(ctx.batch_size);
         prune_to_sparsity(&mut net, 0.3);
         let data = SyntheticDataset::digits(samples, ctx.seed + 7);

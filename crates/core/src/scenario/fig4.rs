@@ -48,10 +48,7 @@ impl Scenario for Fig4 {
                 let r = Processor::with_model(cfg, model.clone())
                     .run_kernel(&kernel)
                     .expect("kernel runs");
-                assert!(
-                    super::simd_outputs_match(&r, &kernel, ctx.kernel),
-                    "outputs must stay bit-exact"
-                );
+                assert!(r.outputs_match(&kernel), "outputs must stay bit-exact");
                 r.energy_per_word()
             });
 

@@ -62,11 +62,10 @@ impl Scenario for Fig6 {
         };
 
         // LeNet-5 on the digit-like 28x28 set. The MAC kernel comes from
-        // the context (blocked GEMM by default, the naive oracle when
+        // the context (packed GEMM by default, the naive oracle when
         // bench_sweep times the kernel speedup); it never moves a number.
         let mut lenet = models::lenet5(ctx.seed)
             .with_kernel(ctx.kernel)
-            .with_batch_path(ctx.batch_path)
             .with_batch_size(ctx.batch_size);
         let digits = SyntheticDataset::digits(lenet_samples, ctx.seed + 1);
         ensure_diverse(&mut lenet, &digits);
@@ -76,7 +75,6 @@ impl Scenario for Fig6 {
         // AlexNet at reduced resolution/width (substitution; see DESIGN.md).
         let mut alexnet = models::alexnet(alex_input, alex_scale, ctx.seed + 2)
             .with_kernel(ctx.kernel)
-            .with_batch_path(ctx.batch_path)
             .with_batch_size(ctx.batch_size);
         let images = SyntheticDataset::image_like(alex_samples, alex_input, 10, ctx.seed + 3);
         ensure_diverse(&mut alexnet, &images);

@@ -65,7 +65,6 @@ impl Scenario for Fig6Vgg {
 
         let mut vgg = models::vgg16(input, scale, ctx.seed + 4)
             .with_kernel(ctx.kernel)
-            .with_batch_path(ctx.batch_path)
             .with_batch_size(ctx.batch_size);
         let images = SyntheticDataset::image_like(samples, input, 10, ctx.seed + 5);
         ensure_diverse(&mut vgg, &images);

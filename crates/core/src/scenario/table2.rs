@@ -79,10 +79,7 @@ impl Scenario for Table2 {
                     .expect("kernel runs");
                 // Power numbers are only meaningful if the machine computed
                 // the right outputs.
-                assert!(
-                    super::simd_outputs_match(&r, &kernel, ctx.kernel),
-                    "outputs must stay bit-exact"
-                );
+                assert!(r.outputs_match(&kernel), "outputs must stay bit-exact");
                 r
             });
 

@@ -416,8 +416,19 @@ fn error_reply(id: u64, message: &str) -> String {
     )
 }
 
-/// Executes one parsed request and renders its one-line reply.
-fn execute_request(env: &Envelope, state: &ServeState) -> (String, bool) {
+/// The context a `run` request executes on: the request's `threads`,
+/// clamped to the session's `workers` so one request cannot claim more
+/// threads than the server runs. Scenario results never depend on the
+/// thread count, so the clamp never changes a reply byte.
+fn run_ctx(threads: usize, fast: bool, workers: usize) -> ScenarioCtx {
+    ScenarioCtx::new()
+        .with_threads(threads.min(workers))
+        .with_fast(fast)
+}
+
+/// Executes one parsed request on a session of `workers` threads and
+/// renders its one-line reply.
+fn execute_request(env: &Envelope, state: &ServeState, workers: usize) -> (String, bool) {
     let id = env.id;
     let request = match &env.parsed {
         Ok(r) => r,
@@ -474,8 +485,7 @@ fn execute_request(env: &Envelope, state: &ServeState) -> (String, bool) {
                     false,
                 );
             }
-            let ctx = ScenarioCtx::new().with_threads(*threads).with_fast(*fast);
-            let result = s.run(&ctx);
+            let result = s.run(&run_ctx(*threads, *fast, workers));
             let rendered = scenario::render(s.label(), s.title(), &result, *format);
             (
                 format!(
@@ -752,7 +762,7 @@ where
                 Some(FaultKind::Delay(ms)) => std::thread::sleep(Duration::from_millis(ms)),
                 _ => {}
             }
-            let (reply, is_shutdown) = execute_request(&env, state);
+            let (reply, is_shutdown) = execute_request(&env, state, opts.threads);
             if let Some(deadline) = opts.deadline_ms {
                 // Checked around the expensive ops only; the result of an
                 // overrunning request is discarded *after* it completed,
@@ -1153,6 +1163,26 @@ mod tests {
         assert_eq!(outcome.served, 3);
         assert!(!outcome.shutdown);
         assert!(!outcome.timed_out);
+    }
+
+    /// A `run` request asking for a million threads runs on at most the
+    /// session's workers and replies byte-identically to `"threads":1`.
+    #[test]
+    fn run_threads_are_clamped_to_the_worker_count() {
+        for workers in [1usize, 2, 3] {
+            assert_eq!(run_ctx(1_000_000, true, workers).threads(), workers);
+            assert_eq!(run_ctx(1, true, workers).threads(), 1);
+        }
+        let run = |threads: usize| {
+            format!(
+                "{{\"op\":\"run\",\"scenario\":\"table1\",\"fast\":true,\"threads\":{threads}}}\n"
+            )
+        };
+        let (one, _) = serve_bytes(&run(1), 2, 2);
+        let (huge, outcome) = serve_bytes(&run(1_000_000), 2, 2);
+        assert_eq!(huge, one, "thread clamp changed the reply bytes");
+        assert_eq!(outcome.served, 1);
+        assert!(one.contains("\"ok\":true"), "{one}");
     }
 
     #[test]

@@ -2,32 +2,30 @@
 //! multiply-accumulates.
 //!
 //! Mirroring the netlist engine selector of `dvafs-arith`
-//! (`netlist::Engine::{Scalar, Bitsliced}`), the NN hot path has three
-//! interchangeable kernels:
+//! (`netlist::Engine::{Scalar, Bitsliced}`), the NN hot path has one
+//! reference oracle and one production kernel:
 //!
 //! * [`NnKernel::Naive`] — the original 7-deep convolution loop (and the
 //!   2-deep dense loop), retained verbatim as the **reference oracle**;
-//! * [`NnKernel::Gemm`] — activations are packed into an im2col panel and
-//!   consumed by the blocked integer GEMM of [`dvafs_simd::gemm`]
-//!   (`i16 x i16` products, exact `i64` accumulation), with
-//!   per-`(layer, bits)` weight quantization memoized in a [`WeightCache`]
-//!   across a precision sweep;
-//! * [`NnKernel::GemmPacked`] — the default: the GEMM operands are
-//!   additionally *subword-packed* (the paper's Section II-C move in
+//! * [`NnKernel::GemmPacked`] — the default: activations are packed into
+//!   an im2col panel and consumed by the exact integer GEMM of
+//!   [`dvafs_simd::gemm`], with per-`(layer, bits)` weight quantization
+//!   memoized in a [`WeightCache`] across a precision sweep. The GEMM
+//!   operands are *subword-packed* (the paper's Section II-C move in
 //!   software): each side independently selects the most-parallel
 //!   [`SubwordMode`] its bit width allows via
 //!   [`SubwordMode::for_precision`] — see [`mode_for_bits`] — so an
 //!   8-bit layer carries 2 operands per 16-bit lane word and a 4-bit
-//!   layer 4, and the packed GEMM of `dvafs_simd::gemm` consumes them
-//!   with exact accumulation. Its conv panels use channels-last
-//!   `(ky, kx, ci)` tap order on both sides, so each activation panel row
-//!   is `k` block copies out of a zero-bordered input plane.
+//!   layer 4. Its conv panels use channels-last `(ky, kx, ci)` tap order
+//!   on both sides, so each activation panel row is `k` block copies out
+//!   of a zero-bordered input plane. A chunk of samples runs as one wide
+//!   GEMM per layer; a lone sample is a chunk of one.
 //!
-//! Accumulation is exact in every kernel, so the choice **never moves a
+//! Accumulation is exact in both kernels, so the choice **never moves a
 //! number**: outputs are byte-identical and the `zero_weight`/`zero_act`
 //! guard-skip counters are reproduced exactly from the packed
-//! representation (the `Naive == Gemm == GemmPacked` property tests pin
-//! all three). Only wall time changes.
+//! representation (the `Naive == GemmPacked` property tests pin both).
+//! Only wall time changes.
 
 use crate::quant::QuantizedTensor;
 use dvafs_arith::{Precision, SubwordMode};
@@ -40,8 +38,6 @@ use std::sync::{Arc, OnceLock};
 pub enum NnKernel {
     /// The original scalar layer loops — the reference oracle.
     Naive,
-    /// im2col packing + blocked integer GEMM.
-    Gemm,
     /// Subword-packed GEMM: reduced-precision operands share lane words
     /// at the [`SubwordMode`] geometry — the default.
     #[default]
@@ -49,10 +45,10 @@ pub enum NnKernel {
 }
 
 impl NnKernel {
-    /// All kernels, oracle first (test matrices iterate this).
-    pub const ALL: [NnKernel; 3] = [NnKernel::Naive, NnKernel::Gemm, NnKernel::GemmPacked];
+    /// Both kernels, oracle first (test matrices iterate this).
+    pub const ALL: [NnKernel; 2] = [NnKernel::Naive, NnKernel::GemmPacked];
 
-    /// Parses a CLI spelling (`"naive"` / `"gemm"` / `"packed"`).
+    /// Parses a CLI spelling (`"naive"` / `"packed"`).
     ///
     /// # Errors
     ///
@@ -60,11 +56,8 @@ impl NnKernel {
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
             "naive" => Ok(NnKernel::Naive),
-            "gemm" => Ok(NnKernel::Gemm),
             "packed" => Ok(NnKernel::GemmPacked),
-            other => Err(format!(
-                "unknown kernel {other:?} (expected naive|gemm|packed)"
-            )),
+            other => Err(format!("unknown kernel {other:?} (expected naive|packed)")),
         }
     }
 }
@@ -73,65 +66,15 @@ impl fmt::Display for NnKernel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             NnKernel::Naive => "naive",
-            NnKernel::Gemm => "gemm",
             NnKernel::GemmPacked => "packed",
         })
     }
 }
 
-/// Selects how a batch of samples walks the network — the batching
-/// counterpart of [`NnKernel`], and the same selector-plus-oracle
-/// discipline: the per-sample path is retained verbatim as the reference
-/// oracle, and the choice **never moves a number** (the
-/// `batch_equivalence` proptest net pins outputs, guard-skip counters and
-/// argmaxes bitwise across both paths). Only wall time changes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum BatchPath {
-    /// Each sample walks the whole network alone (the reference oracle):
-    /// the per-`(layer, bits)` weight panel is re-streamed once per
-    /// sample.
-    SampleMajor,
-    /// A whole chunk of samples is carried layer-by-layer: each conv
-    /// layer concatenates the samples' im2col panels into **one wide
-    /// GEMM** (`m × k × (B·n)`; dense layers `m × k × B`), so the packed
-    /// weight panel streams through cache once per batch — the software
-    /// edition of the paper's weight-stationary MAC array. The default.
-    #[default]
-    LayerMajor,
-}
-
-impl BatchPath {
-    /// Both paths, oracle first (test matrices iterate this).
-    pub const ALL: [BatchPath; 2] = [BatchPath::SampleMajor, BatchPath::LayerMajor];
-
-    /// Parses a CLI spelling (`"sample"` / `"layer"`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a user-facing message for anything else.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "sample" => Ok(BatchPath::SampleMajor),
-            "layer" => Ok(BatchPath::LayerMajor),
-            other => Err(format!(
-                "unknown batch path {other:?} (expected sample|layer)"
-            )),
-        }
-    }
-}
-
-impl fmt::Display for BatchPath {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            BatchPath::SampleMajor => "sample",
-            BatchPath::LayerMajor => "layer",
-        })
-    }
-}
-
-/// Default samples per layer-major chunk: big enough to amortize one
+/// Default samples per batched-forward chunk: big enough to amortize one
 /// weight-panel stream over many activation columns, small enough that
-/// the widened im2col/accumulator scratch stays cache-resident.
+/// the widened im2col/accumulator scratch stays cache-resident. A batch
+/// size of 1 walks the samples one at a time through the same path.
 pub const DEFAULT_BATCH_SIZE: usize = 16;
 
 /// The [`SubwordMode`] the packed kernel selects for a `bits`-wide
@@ -154,17 +97,12 @@ pub(crate) fn mode_for_bits(bits: u32) -> SubwordMode {
 /// reuse never affects results.
 #[derive(Debug, Default)]
 pub struct Scratch {
-    /// im2col panel of the `Gemm` kernel: one patch per output position
-    /// (`n x k`, taps in the filters' `(ci, ky, kx)` order).
-    pub(crate) patches: Vec<i16>,
-    /// Quantized activation vector of a dense layer.
-    pub(crate) acts: Vec<i16>,
     /// GEMM accumulators (`m x n`, exact `i64`).
     pub(crate) acc: Vec<i64>,
     /// Subword-packed activation panel of the `GemmPacked` kernel:
-    /// filled in place by the conv and batched dense paths (every word
-    /// of every row written, so no zeroing pass) or repacked from `acts`
-    /// by the per-sample dense path. One buffer, reused across layers.
+    /// filled in place by the conv and dense paths (every word of every
+    /// row written, so no zeroing pass). One buffer, reused across
+    /// layers.
     pub(crate) packed: PackedPanel,
     /// Zero-bordered channels-last input plane of a `GemmPacked` conv
     /// (`(h+2p) x (w+2p) x c` lane fields): each im2col panel row is `k`
@@ -200,15 +138,11 @@ pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
     })
 }
 
-/// One memoized weight quantization: the `i16` panel the GEMM consumes,
+/// One memoized weight quantization: the packed panel the GEMM consumes,
 /// its scale, and the zero-weight counts the guard-skip statistics are
 /// reproduced from.
 #[derive(Debug)]
 pub(crate) struct PackedWeights {
-    /// Quantized weights as the `Gemm` kernel's left operand (row-major,
-    /// one filter or output neuron per row; conv taps in the stored
-    /// `(ci, ky, kx)` order).
-    pub qi16: Vec<i16>,
     /// Real value per grid step (`QuantizedTensor::scale`).
     pub scale: f64,
     /// Zero-weight count per spatial tap `ky*k + kx`, summed over filters
@@ -387,19 +321,9 @@ mod tests {
         }
         assert!(NnKernel::parse("fast")
             .unwrap_err()
-            .contains("naive|gemm|packed"));
+            .contains("naive|packed"));
+        assert!(NnKernel::parse("gemm").is_err());
         assert_eq!(NnKernel::default(), NnKernel::GemmPacked);
-    }
-
-    #[test]
-    fn batch_path_parse_and_display_roundtrip() {
-        for p in BatchPath::ALL {
-            assert_eq!(BatchPath::parse(&p.to_string()), Ok(p));
-        }
-        assert!(BatchPath::parse("wide")
-            .unwrap_err()
-            .contains("sample|layer"));
-        assert_eq!(BatchPath::default(), BatchPath::LayerMajor);
         const { assert!(DEFAULT_BATCH_SIZE >= 1) };
     }
 
@@ -407,10 +331,10 @@ mod tests {
     fn thread_scratch_is_reused_and_reentrancy_safe() {
         // Two sequential borrows see the same buffer (capacity persists);
         // a nested borrow gets a fresh scratch instead of panicking.
-        with_thread_scratch(|s| s.patches.resize(64, 7));
+        with_thread_scratch(|s| s.acc.resize(64, 7));
         let (outer_len, inner_len) = with_thread_scratch(|s| {
-            let inner = with_thread_scratch(|nested| nested.patches.len());
-            (s.patches.len(), inner)
+            let inner = with_thread_scratch(|nested| nested.acc.len());
+            (s.acc.len(), inner)
         });
         assert_eq!(outer_len, 64, "thread-local scratch persists across calls");
         assert_eq!(
@@ -499,7 +423,6 @@ mod tests {
             let _ = cache.get_or_pack(bits, || {
                 packs += 1;
                 PackedWeights {
-                    qi16: vec![],
                     scale: 1.0,
                     zeros_per_tap: vec![],
                     zeros_total: 0,

@@ -7,18 +7,16 @@
 //! accumulation — the arithmetic a DVAFS MAC array performs — and report
 //! the MAC/sparsity statistics that drive the Envision power model.
 //!
-//! Three interchangeable MAC kernels execute that arithmetic (see
-//! [`crate::kernel`]): the original scalar loops ([`NnKernel::Naive`], the
-//! reference oracle), the im2col + blocked-integer-GEMM path
-//! ([`NnKernel::Gemm`], taps in the filters' stored `(ci, ky, kx)`
-//! order), and the default subword-packed GEMM ([`NnKernel::GemmPacked`]),
-//! whose conv im2col is channels-last: each sample is written once into a
-//! zero-bordered `(ky, kx, ci)`-ordered plane and every panel row is `k`
-//! contiguous block copies out of it, against a weight panel packed in
-//! the same tap order. Both GEMM kernels share the statistics
-//! bookkeeping and run a single sample as a batch of one. Accumulation
-//! is exact in `i64` and integer sums are order-free, so all three
-//! produce byte-identical outputs and statistics.
+//! Two MAC kernels execute that arithmetic (see [`crate::kernel`]): the
+//! original scalar loops ([`NnKernel::Naive`], the reference oracle) and
+//! the subword-packed GEMM ([`NnKernel::GemmPacked`], the production
+//! path), whose conv im2col is channels-last: each sample is written once
+//! into a zero-bordered `(ky, kx, ci)`-ordered plane and every panel row
+//! is `k` contiguous block copies out of it, against a weight panel
+//! packed in the same tap order. The GEMM path always runs a batch — one
+//! wide GEMM per layer — and a single sample is a batch of one.
+//! Accumulation is exact in `i64` and integer sums are order-free, so
+//! both kernels produce byte-identical outputs and statistics.
 
 use crate::error::NnError;
 use crate::kernel::{mode_for_bits, NnKernel, PackedWeights, Scratch, WeightCache};
@@ -208,6 +206,21 @@ impl Conv2d {
         (oh, ow)
     }
 
+    /// Rejects inputs whose channel count differs or whose padded plane
+    /// cannot hold one kernel window.
+    fn check_shape(&self, (c, h, w): (usize, usize, usize)) -> Result<(), NnError> {
+        if c != self.in_channels
+            || h + 2 * self.padding < self.kernel
+            || w + 2 * self.padding < self.kernel
+        {
+            return Err(NnError::ShapeMismatch {
+                expected: (self.in_channels, self.kernel, self.kernel),
+                actual: (c, h, w),
+            });
+        }
+        Ok(())
+    }
+
     fn forward_with(
         &self,
         input: &Tensor,
@@ -216,25 +229,15 @@ impl Conv2d {
         kernel: NnKernel,
         scratch: &mut Scratch,
     ) -> Result<(Tensor, LayerStats), NnError> {
-        let (c, h, w) = input.shape();
-        if c != self.in_channels
-            || h + 2 * self.padding < self.kernel
-            || w + 2 * self.padding < self.kernel
-        {
-            return Err(NnError::ShapeMismatch {
-                expected: (self.in_channels, self.kernel, self.kernel),
-                actual: (c, h, w),
-            });
-        }
+        self.check_shape(input.shape())?;
         let qa = QuantizedTensor::quantize(input, abits)?;
         self.forward_quant(&qa, wbits, kernel, scratch)
     }
 
-    /// Executes the convolution on an already-quantized input activation —
-    /// the entry point the incremental precision search drives through its
-    /// per-`(sample, layer, abits)` [`crate::kernel::ActivationCache`]
-    /// memo. Quantization is a pure function of `(input, bits)`, so this
-    /// is bit-identical to quantizing inline.
+    /// Executes the convolution on one already-quantized input
+    /// activation. Quantization is a pure function of `(input, bits)`, so
+    /// this is bit-identical to quantizing inline. The `GemmPacked` kernel
+    /// runs the sample as a batch of one.
     pub(crate) fn forward_quant(
         &self,
         qa: &QuantizedTensor,
@@ -242,21 +245,13 @@ impl Conv2d {
         kernel: NnKernel,
         scratch: &mut Scratch,
     ) -> Result<(Tensor, LayerStats), NnError> {
-        let (c, h, w) = qa.shape;
-        if c != self.in_channels
-            || h + 2 * self.padding < self.kernel
-            || w + 2 * self.padding < self.kernel
-        {
-            return Err(NnError::ShapeMismatch {
-                expected: (self.in_channels, self.kernel, self.kernel),
-                actual: (c, h, w),
-            });
-        }
         match kernel {
-            NnKernel::Naive => self.forward_naive(qa, wbits),
-            NnKernel::Gemm | NnKernel::GemmPacked => {
-                let packed = kernel == NnKernel::GemmPacked;
-                let mut out = self.forward_gemm(&[qa], wbits, scratch, packed)?;
+            NnKernel::Naive => {
+                self.check_shape(qa.shape)?;
+                self.forward_naive(qa, wbits)
+            }
+            NnKernel::GemmPacked => {
+                let mut out = self.forward_gemm(&[qa], wbits, scratch)?;
                 Ok(out.pop().expect("one sample in, one result out"))
             }
         }
@@ -332,30 +327,26 @@ impl Conv2d {
             let k2 = self.kernel * self.kernel;
             let mut zeros_per_tap = vec![0u64; k2];
             let mut zeros_total = 0u64;
-            let mut qi16 = Vec::with_capacity(qw.data.len());
             for (i, &q) in qw.data.iter().enumerate() {
                 if q == 0 {
                     zeros_per_tap[i % k2] += 1;
                     zeros_total += 1;
                 }
-                qi16.push(q as i16);
             }
             // Pre-pack the subword panel at the width's own mode (one
             // filter per row, taps reordered channels-last to
-            // `[f][ky][kx][ci]`, the order the GemmPacked fill copies
-            // activation rows in): the hot path then only packs
-            // activations.
+            // `[f][ky][kx][ci]`, the order the fill copies activation
+            // rows in): the hot path then only packs activations.
             let c = self.in_channels;
             let hwc: Vec<i16> = (0..self.out_channels * k2 * c)
                 .map(|i| {
                     let (fi, tap, ci) = (i / (k2 * c), i / c % k2, i % c);
-                    qi16[(fi * c + ci) * k2 + tap]
+                    qw.data[(fi * c + ci) * k2 + tap] as i16
                 })
                 .collect();
             let panel =
                 gemm::PackedPanel::pack(&hwc, self.out_channels, c * k2, mode_for_bits(wbits));
             PackedWeights {
-                qi16,
                 scale: qw.scale,
                 zeros_per_tap,
                 zeros_total,
@@ -404,60 +395,10 @@ impl Conv2d {
         uses
     }
 
-    /// Packs one sample's im2col panel into the **pre-zeroed** `patches`
-    /// (length `n * klen`, taps in the filters' `(ci, ky, kx)` order) for
-    /// the `Gemm` kernel, counting in-bounds zero activations as it
-    /// goes — a padding tap is a *skipped* MAC, not a zero-operand MAC,
-    /// so structural zeros come from the zeroed buffer and are not
-    /// counted.
-    fn pack_im2col(&self, qa: &QuantizedTensor, patches: &mut [i16]) -> u64 {
-        let (_, h, w) = qa.shape;
-        let (oh, ow) = self.out_hw(h, w);
-        let k = self.kernel;
-        let c = self.in_channels;
-        let klen = c * k * k;
-        let pad = self.padding as isize;
-        let mut zero_acts = 0u64;
-        for oy in 0..oh {
-            for ky in 0..k {
-                let iy = (oy * self.stride + ky) as isize - pad;
-                if iy < 0 || iy >= h as isize {
-                    continue;
-                }
-                let iy = iy as usize;
-                for ox in 0..ow {
-                    let row = (oy * ow + ox) * klen;
-                    // Hoist the per-tap ix bounds check: tap kx is in
-                    // bounds iff 0 <= ox*stride + kx - pad < w, so the
-                    // in-bounds taps form one contiguous kx range and the
-                    // two innermost loops run over contiguous reads
-                    // (src[ix0..]) and contiguous writes (dst[kx_lo..]).
-                    let base = (ox * self.stride) as isize - pad;
-                    let kx_lo = usize::try_from(-base).unwrap_or(0).min(k);
-                    let kx_hi = usize::try_from(w as isize - base).unwrap_or(0).min(k);
-                    if kx_lo >= kx_hi {
-                        continue;
-                    }
-                    let ix0 = (base + kx_lo as isize) as usize;
-                    for ci in 0..c {
-                        let src = &qa.data[(ci * h + iy) * w + ix0..][..kx_hi - kx_lo];
-                        let dst_at = row + (ci * k + ky) * k + kx_lo;
-                        let dst = &mut patches[dst_at..][..kx_hi - kx_lo];
-                        for (d, &q) in dst.iter_mut().zip(src) {
-                            zero_acts += u64::from(q == 0);
-                            *d = q as i16;
-                        }
-                    }
-                }
-            }
-        }
-        zero_acts
-    }
-
     /// Writes one sample's quantized input into the interior of the
     /// zero-bordered channels-last `plane` (`(h+2p) x (w+2p) x c`, each
     /// value as its two's-complement lane field at `mode`) — the
-    /// `GemmPacked` fill's one pass over the input. The border is never
+    /// conv fill's one pass over the input. The border is never
     /// written, so it keeps the zeros the caller sized the plane with.
     ///
     /// Returns the sample's `(zero_acts, has_min)` over the im2col panel
@@ -500,7 +441,7 @@ impl Conv2d {
         (zero_acts, min_uses > 0)
     }
 
-    /// Builds one sample's block of `GemmPacked` im2col rows (`n` rows of
+    /// Builds one sample's block of packed im2col rows (`n` rows of
     /// `stride` words) from its channels-last `plane`: the taps of output
     /// `(oy, ox)` in `(ky, kx, ci)` order are `k` contiguous runs of
     /// `k·c` plane fields, one per `ky`. `X1` (`LANES == 1`) copies the
@@ -565,32 +506,30 @@ impl Conv2d {
         )
     }
 
-    /// The GEMM conv path on a batch of already-quantized inputs of one
-    /// shape and bit width (a single sample is `B = 1`): each sample's
-    /// im2col panel becomes `n` rows of a shared `(B·n) x k` activation
-    /// panel and the batch runs as **one wide GEMM**, so the packed weight
-    /// panel streams through cache once per batch instead of once per
-    /// sample. Padding taps are structural zeros, which contribute
-    /// nothing to the exact `i64` sums, so every output is byte-identical
-    /// to [`forward_naive`](Self::forward_naive).
+    /// The `GemmPacked` conv path on a non-empty batch of
+    /// already-quantized inputs of one shape and bit width (a single
+    /// sample is `B = 1`): each sample's im2col panel becomes `n` rows of
+    /// a shared `(B·n) x k` activation panel and the batch runs as **one
+    /// wide GEMM**, so the packed weight panel streams through cache once
+    /// per batch instead of once per sample. Padding taps are structural
+    /// zeros, which contribute nothing to the exact `i64` sums, so every
+    /// output is byte-identical to [`forward_naive`](Self::forward_naive).
     ///
-    /// The `Gemm` kernel (`packed == false`) packs `i16` patches in the
-    /// filters' `(ci, ky, kx)` order and runs the blocked integer GEMM.
-    /// The `GemmPacked` kernel writes each sample once into a
-    /// zero-bordered channels-last plane ([`fill_plane`](Self::fill_plane)),
-    /// builds every panel row from `k` block copies out of it at the
-    /// activation width's [`mode_for_bits`] lane geometry
-    /// ([`copy_im2col_rows`](Self::copy_im2col_rows)), and multiplies it
-    /// against the pre-packed `(ky, kx, ci)` weight panel by the exact
-    /// packed GEMM. Integer sums are order-free, so the tap order never
-    /// moves a number.
+    /// Each sample is written once into a zero-bordered channels-last
+    /// plane ([`fill_plane`](Self::fill_plane)); every panel row is `k`
+    /// block copies out of it at the activation width's
+    /// [`mode_for_bits`] lane geometry
+    /// ([`copy_im2col_rows`](Self::copy_im2col_rows)), multiplied against
+    /// the pre-packed `(ky, kx, ci)` weight panel by the exact packed
+    /// GEMM. Integer sums are order-free, so the tap order never moves a
+    /// number.
     fn forward_gemm(
         &self,
         qas: &[&QuantizedTensor],
         wbits: u32,
         scratch: &mut Scratch,
-        packed: bool,
     ) -> Result<Vec<(Tensor, LayerStats)>, NnError> {
+        self.check_shape(qas[0].shape)?;
         let pw = self.packed_weights(wbits)?;
         let (c, h, w) = qas[0].shape;
         let (oh, ow) = self.out_hw(h, w);
@@ -608,45 +547,29 @@ impl Conv2d {
         let acc = &mut scratch.acc[..f * total];
         // One concatenated panel: sample `si` owns rows `si*n..(si+1)*n`.
         let mut zero_acts = Vec::with_capacity(b);
-        if packed {
-            let mode = mode_for_bits(qas[0].bits);
-            let uses_y = self.axis_input_uses(oh, h);
-            let uses_x = self.axis_input_uses(ow, w);
-            let pad = self.padding;
-            scratch.plane.clear();
-            scratch.plane.resize((h + 2 * pad) * (w + 2 * pad) * c, 0);
-            let (words, stride) = scratch.packed.begin_fill(total, klen, mode);
-            scratch.stage.clear();
-            scratch.stage.resize(stride * mode.lanes(), 0);
-            let mut has_min = false;
-            for (qa, block) in qas.iter().zip(words.chunks_exact_mut(n * stride)) {
-                let (zeros, min) =
-                    self.fill_plane(qa, mode, (&uses_y, &uses_x), &mut scratch.plane);
-                let (plane, stage) = (&scratch.plane, &mut scratch.stage);
-                match mode {
-                    SubwordMode::X1 => {
-                        self.copy_im2col_rows::<1, 16>(w, plane, stage, block, stride)
-                    }
-                    SubwordMode::X2 => {
-                        self.copy_im2col_rows::<2, 8>(w, plane, stage, block, stride)
-                    }
-                    SubwordMode::X4 => {
-                        self.copy_im2col_rows::<4, 4>(w, plane, stage, block, stride)
-                    }
-                }
-                zero_acts.push(zeros);
-                has_min |= min;
+        let mode = mode_for_bits(qas[0].bits);
+        let uses_y = self.axis_input_uses(oh, h);
+        let uses_x = self.axis_input_uses(ow, w);
+        let pad = self.padding;
+        scratch.plane.clear();
+        scratch.plane.resize((h + 2 * pad) * (w + 2 * pad) * c, 0);
+        let (words, stride) = scratch.packed.begin_fill(total, klen, mode);
+        scratch.stage.clear();
+        scratch.stage.resize(stride * mode.lanes(), 0);
+        let mut has_min = false;
+        for (qa, block) in qas.iter().zip(words.chunks_exact_mut(n * stride)) {
+            let (zeros, min) = self.fill_plane(qa, mode, (&uses_y, &uses_x), &mut scratch.plane);
+            let (plane, stage) = (&scratch.plane, &mut scratch.stage);
+            match mode {
+                SubwordMode::X1 => self.copy_im2col_rows::<1, 16>(w, plane, stage, block, stride),
+                SubwordMode::X2 => self.copy_im2col_rows::<2, 8>(w, plane, stage, block, stride),
+                SubwordMode::X4 => self.copy_im2col_rows::<4, 4>(w, plane, stage, block, stride),
             }
-            scratch.packed.finish_fill(has_min);
-            gemm::gemm_packed(&pw.panel, &scratch.packed, acc);
-        } else {
-            scratch.patches.clear();
-            scratch.patches.resize(total * klen, 0);
-            for (qa, panel) in qas.iter().zip(scratch.patches.chunks_exact_mut(n * klen)) {
-                zero_acts.push(self.pack_im2col(qa, panel));
-            }
-            gemm::gemm_i16(&pw.qi16, &scratch.patches, f, klen, total, acc);
+            zero_acts.push(zeros);
+            has_min |= min;
         }
+        scratch.packed.finish_fill(has_min);
+        gemm::gemm_packed(&pw.panel, &scratch.packed, acc);
 
         let (macs, zero_weight_macs) = self.gemm_mac_stats(&pw, h, w);
         // Slice each sample's output columns back out: filter `fi` of
@@ -673,47 +596,6 @@ impl Conv2d {
             results.push((Tensor::from_vec(f, oh, ow, data), stats));
         }
         Ok(results)
-    }
-
-    /// Executes the convolution on a whole batch of already-quantized
-    /// inputs as **one wide GEMM** ([`forward_gemm`](Self::forward_gemm)).
-    /// Every output element is still an independent exact-`i64` dot
-    /// product over the same operands, so outputs and statistics are
-    /// bit-identical to running [`forward_quant`](Self::forward_quant)
-    /// per sample.
-    ///
-    /// Falls back to the per-sample path for the naive kernel, single
-    /// samples, or mixed grid geometry (still bit-identical — only wall
-    /// time changes).
-    pub(crate) fn forward_quant_batch(
-        &self,
-        qas: &[&QuantizedTensor],
-        wbits: u32,
-        kernel: NnKernel,
-        scratch: &mut Scratch,
-    ) -> Result<Vec<(Tensor, LayerStats)>, NnError> {
-        let fusable = kernel != NnKernel::Naive
-            && qas.len() > 1
-            && qas
-                .iter()
-                .all(|qa| qa.shape == qas[0].shape && qa.bits == qas[0].bits);
-        if !fusable {
-            return qas
-                .iter()
-                .map(|qa| self.forward_quant(qa, wbits, kernel, scratch))
-                .collect();
-        }
-        let (c, h, w) = qas[0].shape;
-        if c != self.in_channels
-            || h + 2 * self.padding < self.kernel
-            || w + 2 * self.padding < self.kernel
-        {
-            return Err(NnError::ShapeMismatch {
-                expected: (self.in_channels, self.kernel, self.kernel),
-                actual: (c, h, w),
-            });
-        }
-        self.forward_gemm(qas, wbits, scratch, kernel == NnKernel::GemmPacked)
     }
 
     /// MACs for one forward pass on an input of shape `(c, h, w)` —
@@ -810,6 +692,18 @@ impl Dense {
         t
     }
 
+    /// Rejects inputs whose flattened length differs from the layer's
+    /// input width.
+    fn check_shape(&self, (c, h, w): (usize, usize, usize)) -> Result<(), NnError> {
+        if c * h * w != self.inputs {
+            return Err(NnError::ShapeMismatch {
+                expected: (1, 1, self.inputs),
+                actual: (c, h, w),
+            });
+        }
+        Ok(())
+    }
+
     fn forward_with(
         &self,
         input: &Tensor,
@@ -818,12 +712,7 @@ impl Dense {
         kernel: NnKernel,
         scratch: &mut Scratch,
     ) -> Result<(Tensor, LayerStats), NnError> {
-        if input.len() != self.inputs {
-            return Err(NnError::ShapeMismatch {
-                expected: (1, 1, self.inputs),
-                actual: input.shape(),
-            });
-        }
+        self.check_shape(input.shape())?;
         let qa = QuantizedTensor::quantize(input, abits)?;
         self.forward_quant(&qa, wbits, kernel, scratch)
     }
@@ -837,17 +726,15 @@ impl Dense {
         kernel: NnKernel,
         scratch: &mut Scratch,
     ) -> Result<(Tensor, LayerStats), NnError> {
-        let (c, h, w) = qa.shape;
-        if c * h * w != self.inputs {
-            return Err(NnError::ShapeMismatch {
-                expected: (1, 1, self.inputs),
-                actual: (c, h, w),
-            });
-        }
         match kernel {
-            NnKernel::Naive => self.forward_naive(qa, wbits),
-            NnKernel::Gemm => self.forward_gemm(qa, wbits, scratch, false),
-            NnKernel::GemmPacked => self.forward_gemm(qa, wbits, scratch, true),
+            NnKernel::Naive => {
+                self.check_shape(qa.shape)?;
+                self.forward_naive(qa, wbits)
+            }
+            NnKernel::GemmPacked => {
+                let mut out = self.forward_gemm(&[qa], wbits, scratch)?;
+                Ok(out.pop().expect("one sample in, one result out"))
+            }
         }
     }
 
@@ -902,7 +789,6 @@ impl Dense {
             let panel =
                 gemm::PackedPanel::pack(&qi16, self.outputs, self.inputs, mode_for_bits(wbits));
             PackedWeights {
-                qi16,
                 scale: qw.scale,
                 zeros_per_tap: Vec::new(),
                 zeros_total,
@@ -911,87 +797,22 @@ impl Dense {
         }))
     }
 
-    /// The dense GEMM path: one exact `i16`-panel dot product per output
-    /// neuron. Every weight is consumed exactly once and every activation
-    /// once per output row, so the guard-skip counters are the packed
-    /// zero counts directly.
-    ///
-    /// With `packed` set this is the `GemmPacked` kernel: the identical
-    /// activation vector (and zero count) is subword-packed into a
-    /// one-row panel and dotted against the pre-packed weight rows by the
-    /// exact packed dot — same numbers, fewer lane words.
+    /// The `GemmPacked` dense path on a non-empty batch of
+    /// already-quantized inputs of one grid geometry (a single sample is
+    /// `B = 1`): one `outputs x inputs x B` GEMM, with each sample's
+    /// activation vector one row of a shared `B x inputs` right-hand panel,
+    /// so the packed weight rows stream once per batch. Every weight is
+    /// consumed exactly once and every activation once per output row, so
+    /// the guard-skip counters are the packed zero counts directly, and
+    /// every output is the same exact-`i64` dot product
+    /// [`forward_naive`](Self::forward_naive) computes.
     fn forward_gemm(
-        &self,
-        qa: &QuantizedTensor,
-        wbits: u32,
-        scratch: &mut Scratch,
-        packed: bool,
-    ) -> Result<(Tensor, LayerStats), NnError> {
-        let pw = self.packed_weights(wbits)?;
-        let zero_acts = qa.fill_i16(&mut scratch.acts);
-        if packed {
-            scratch
-                .packed
-                .repack(&scratch.acts, 1, self.inputs, mode_for_bits(qa.bits));
-        }
-        let scale = qa.scale * pw.scale;
-        let mut out = Tensor::zeros(1, 1, self.outputs);
-        let data = out.as_mut_slice();
-        for (z, dst) in data.iter_mut().enumerate() {
-            let acc = if packed {
-                gemm::dot_packed(&pw.panel, z, &scratch.packed, 0)
-            } else {
-                gemm::dot_i16(
-                    &pw.qi16[z * self.inputs..(z + 1) * self.inputs],
-                    &scratch.acts,
-                )
-            };
-            *dst = (acc as f64 * scale + f64::from(self.bias[z])) as f32;
-        }
-        let stats = LayerStats {
-            macs: (self.outputs * self.inputs) as u64,
-            zero_weight_macs: pw.zeros_total,
-            zero_act_macs: self.outputs as u64 * zero_acts,
-        };
-        Ok((out, stats))
-    }
-
-    /// Executes the layer on a whole batch of already-quantized inputs
-    /// with one `outputs x inputs x B` GEMM: each sample's activation
-    /// vector becomes one row of a shared `B x inputs` right-hand panel,
-    /// so the packed weight rows stream once per batch. Every output
-    /// element is the same exact-`i64` dot product over the same
-    /// operands, so outputs and statistics are bit-identical to running
-    /// [`forward_quant`](Self::forward_quant) per sample. Falls back to
-    /// the per-sample path for the naive kernel, single samples, or
-    /// mixed grid geometry.
-    pub(crate) fn forward_quant_batch(
         &self,
         qas: &[&QuantizedTensor],
         wbits: u32,
-        kernel: NnKernel,
         scratch: &mut Scratch,
     ) -> Result<Vec<(Tensor, LayerStats)>, NnError> {
-        let fusable = kernel != NnKernel::Naive
-            && qas.len() > 1
-            && qas
-                .iter()
-                .all(|qa| qa.shape == qas[0].shape && qa.bits == qas[0].bits);
-        if !fusable {
-            return qas
-                .iter()
-                .map(|qa| self.forward_quant(qa, wbits, kernel, scratch))
-                .collect();
-        }
-        {
-            let (c, h, w) = qas[0].shape;
-            if c * h * w != self.inputs {
-                return Err(NnError::ShapeMismatch {
-                    expected: (1, 1, self.inputs),
-                    actual: (c, h, w),
-                });
-            }
-        }
+        self.check_shape(qas[0].shape)?;
         let pw = self.packed_weights(wbits)?;
         let b = qas.len();
         let mode = mode_for_bits(qas[0].bits);
@@ -1002,43 +823,21 @@ impl Dense {
             scratch.acc.resize(self.outputs * b, 0);
         }
         let acc = &mut scratch.acc[..self.outputs * b];
-        if kernel == NnKernel::GemmPacked {
-            // Direct panel fill at the activation mode's lane geometry:
-            // each sample's vector is one panel row, every word written.
-            let (words, stride) = scratch.packed.begin_fill(b, self.inputs, mode);
-            let mut has_min = false;
-            for (qa, row) in qas.iter().zip(words.chunks_exact_mut(stride)) {
-                let (zeros, min) = match mode {
-                    SubwordMode::X1 => fill_row_packed::<1, 16, { i16::MIN as i32 }>(&qa.data, row),
-                    SubwordMode::X2 => fill_row_packed::<2, 8, -128>(&qa.data, row),
-                    SubwordMode::X4 => fill_row_packed::<4, 4, -8>(&qa.data, row),
-                };
-                zero_counts.push(zeros);
-                has_min |= min;
-            }
-            scratch.packed.finish_fill(has_min);
-            gemm::gemm_packed(&pw.panel, &scratch.packed, acc);
-        } else {
-            scratch.patches.clear();
-            scratch.patches.resize(b * self.inputs, 0);
-            for (si, qa) in qas.iter().enumerate() {
-                let row = &mut scratch.patches[si * self.inputs..(si + 1) * self.inputs];
-                let mut zeros = 0u64;
-                for (dst, &q) in row.iter_mut().zip(&qa.data) {
-                    zeros += u64::from(q == 0);
-                    *dst = q as i16;
-                }
-                zero_counts.push(zeros);
-            }
-            gemm::gemm_i16(
-                &pw.qi16,
-                &scratch.patches,
-                self.outputs,
-                self.inputs,
-                b,
-                acc,
-            );
+        // Direct panel fill at the activation mode's lane geometry: each
+        // sample's vector is one panel row, every word written.
+        let (words, stride) = scratch.packed.begin_fill(b, self.inputs, mode);
+        let mut has_min = false;
+        for (qa, row) in qas.iter().zip(words.chunks_exact_mut(stride)) {
+            let (zeros, min) = match mode {
+                SubwordMode::X1 => fill_row_packed::<1, 16, { i16::MIN as i32 }>(&qa.data, row),
+                SubwordMode::X2 => fill_row_packed::<2, 8, -128>(&qa.data, row),
+                SubwordMode::X4 => fill_row_packed::<4, 4, -8>(&qa.data, row),
+            };
+            zero_counts.push(zeros);
+            has_min |= min;
         }
+        scratch.packed.finish_fill(has_min);
+        gemm::gemm_packed(&pw.panel, &scratch.packed, acc);
 
         // Sample `si` of output row `z` lives at `acc[z*b + si]`.
         let mut results = Vec::with_capacity(b);
@@ -1197,11 +996,9 @@ impl Layer {
         }
     }
 
-    /// Executes a **parameterized** layer on an already-quantized input
-    /// activation — the incremental-search fast path, fed from the
-    /// per-`(sample, layer, abits)` [`crate::kernel::ActivationCache`].
-    /// Bit-identical to [`forward_with`](Self::forward_with) because
-    /// quantization is a pure function of `(input, abits)`.
+    /// Executes a **parameterized** layer on one already-quantized input
+    /// activation. Bit-identical to [`forward_with`](Self::forward_with)
+    /// because quantization is a pure function of `(input, abits)`.
     ///
     /// # Errors
     ///
@@ -1226,8 +1023,8 @@ impl Layer {
         }
     }
 
-    /// Executes the layer on a whole chunk of samples — the `LayerMajor`
-    /// step: parameterized layers quantize each input at `abits` (in
+    /// Executes the layer on a whole chunk of samples — one step of the
+    /// batched forward: parameterized layers quantize each input at `abits` (in
     /// sample order; quantization is per-sample, so grids and scales are
     /// unchanged) and fuse the batch into one wide GEMM; ReLU/pooling
     /// layers run per sample. Bit-identical to mapping
@@ -1268,7 +1065,12 @@ impl Layer {
     /// The batch counterpart of
     /// [`forward_prequantized`](Self::forward_prequantized): a whole
     /// chunk of already-quantized inputs through one parameterized layer
-    /// as one wide GEMM.
+    /// (the incremental precision search feeds it from its
+    /// per-`(sample, layer, abits)` [`crate::kernel::ActivationCache`]).
+    /// The `GemmPacked` kernel runs a chunk of one grid geometry as one
+    /// wide GEMM; the naive oracle and mixed-geometry chunks run sample
+    /// by sample. Every output element is the same exact-`i64` dot either
+    /// way, so outputs and statistics are bit-identical.
     ///
     /// # Errors
     ///
@@ -1280,12 +1082,23 @@ impl Layer {
         kernel: NnKernel,
         scratch: &mut Scratch,
     ) -> Result<Vec<(Tensor, LayerStats)>, NnError> {
+        let fused = kernel == NnKernel::GemmPacked
+            && qas.first().is_some_and(|q0| {
+                qas.iter()
+                    .all(|qa| qa.shape == q0.shape && qa.bits == q0.bits)
+            });
+        if !fused {
+            return qas
+                .iter()
+                .map(|qa| self.forward_prequantized(qa, wbits, kernel, scratch))
+                .collect();
+        }
         match self {
-            Layer::Conv2d(c) => c.forward_quant_batch(qas, wbits, kernel, scratch),
-            Layer::Dense(d) => d.forward_quant_batch(qas, wbits, kernel, scratch),
+            Layer::Conv2d(c) => c.forward_gemm(qas, wbits, scratch),
+            Layer::Dense(d) => d.forward_gemm(qas, wbits, scratch),
             Layer::ReLU | Layer::MaxPool2d { .. } => Err(NnError::ShapeMismatch {
                 expected: (0, 0, 0),
-                actual: qas.first().map_or((0, 0, 0), |qa| qa.shape),
+                actual: qas[0].shape,
             }),
         }
     }
@@ -1294,28 +1107,8 @@ impl Layer {
     /// before quantizing (parameterized layers only).
     fn validate_input(&self, input: &Tensor) -> Result<(), NnError> {
         match self {
-            Layer::Conv2d(c) => {
-                let (ci, h, w) = input.shape();
-                if ci != c.in_channels
-                    || h + 2 * c.padding < c.kernel
-                    || w + 2 * c.padding < c.kernel
-                {
-                    return Err(NnError::ShapeMismatch {
-                        expected: (c.in_channels, c.kernel, c.kernel),
-                        actual: (ci, h, w),
-                    });
-                }
-                Ok(())
-            }
-            Layer::Dense(d) => {
-                if input.len() != d.inputs {
-                    return Err(NnError::ShapeMismatch {
-                        expected: (1, 1, d.inputs),
-                        actual: input.shape(),
-                    });
-                }
-                Ok(())
-            }
+            Layer::Conv2d(c) => c.check_shape(input.shape()),
+            Layer::Dense(d) => d.check_shape(input.shape()),
             Layer::ReLU | Layer::MaxPool2d { .. } => Ok(()),
         }
     }
@@ -1471,6 +1264,53 @@ mod tests {
             .unwrap();
         assert!(stats.weight_sparsity() > 0.3);
         assert!(stats.input_sparsity() > 0.1);
+    }
+
+    /// A lone dense sample runs as B = 1 of the batched fill
+    /// (`fill_row_packed` + `gemm_packed`). An activation vector holding
+    /// the mode's most negative lane value must come out of that fill as
+    /// exactly the panel `PackedPanel::pack` builds — words and the
+    /// `has_min` flag that selects the exact `X1 x X1` kernel — and must
+    /// match the naive oracle, for `X1`, `X2` and `X4`.
+    #[test]
+    fn dense_batch_of_one_flags_the_mode_minimum() {
+        let d = Dense::random(37, 5, 21);
+        for bits in [16u32, 8, 4] {
+            let mode = mode_for_bits(bits);
+            let min = -(1i32 << (mode.lane_bits() - 1));
+            let max = (1i32 << (mode.lane_bits() - 1)) - 1;
+            let data: Vec<i32> = (0..37i32)
+                .map(|i| match i % 4 {
+                    0 => min,
+                    1 => 0,
+                    2 => max,
+                    _ => (i - 18).clamp(min, max),
+                })
+                .collect();
+            let qa = QuantizedTensor {
+                data,
+                scale: 0.01,
+                bits,
+                shape: (1, 1, 37),
+            };
+            let mut scratch = Scratch::new();
+            let (naive, naive_stats) = d
+                .forward_quant(&qa, 8, NnKernel::Naive, &mut scratch)
+                .unwrap();
+            let (packed, packed_stats) = d
+                .forward_quant(&qa, 8, NnKernel::GemmPacked, &mut scratch)
+                .unwrap();
+            let lanes: Vec<i16> = qa.data.iter().map(|&q| q as i16).collect();
+            assert_eq!(
+                scratch.packed,
+                gemm::PackedPanel::pack(&lanes, 1, 37, mode),
+                "{mode}: filled panel differs from pack"
+            );
+            assert_eq!(naive_stats, packed_stats, "{mode}: statistics diverged");
+            let nb: Vec<u32> = naive.as_slice().iter().map(|v| v.to_bits()).collect();
+            let pb: Vec<u32> = packed.as_slice().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(nb, pb, "{mode}: outputs diverged bitwise");
+        }
     }
 
     #[test]

@@ -75,9 +75,9 @@ pub fn measure_sparsity(
 ) -> Vec<SparsityReport> {
     let param_layers = net.parameterized_layers();
     let mut totals = vec![(0u64, 0u64, 0u64); param_layers.len()];
-    // One batched forward per chunk on the network's `BatchPath`, with the
-    // thread-local scratch shared by the other convenience wrappers — the
-    // per-sample statistics are bit-identical on either path.
+    // One batched forward per `batch_size` chunk, with the thread-local
+    // scratch shared by the other convenience wrappers — the per-sample
+    // statistics are bit-identical for any chunk width.
     crate::kernel::with_thread_scratch(|scratch| {
         for chunk in data.images().chunks(net.batch_size()) {
             let results = net

@@ -1,25 +1,25 @@
-//! The batch-path equivalence net: the layer-major fused-batch forward
-//! (`BatchPath::LayerMajor`, one wide GEMM per layer across samples) must
-//! be **bit-identical** to the retained per-sample oracle
-//! (`BatchPath::SampleMajor`) — output tensors, the
-//! `zero_weight`/`zero_act` guard-skip counters, and argmaxes — over
-//! random geometries and precisions, for all three MAC kernels, across
-//! the batch boundaries that matter (B = 1, non-dividing B, B larger
-//! than the sample count, ragged tails) and thread counts 1..=8. Plus
-//! the precision search: the incremental scan's batched prefix and
-//! suffix must reproduce the per-sample scan's requirements exactly.
+//! The batch equivalence net: the batched forward (one wide GEMM per
+//! layer across a chunk of samples) must be **bit-identical** for every
+//! chunk width — a chunk of one (B = 1, the sample-at-a-time walk),
+//! ragged chunks (B that does not divide the sample count, B larger than
+//! the sample count) — and to the naive oracle: output tensors, the
+//! `zero_weight`/`zero_act` guard-skip counters, and argmaxes, over random
+//! geometries and precisions and thread counts 1..=8. Plus the precision
+//! search: the incremental scan's batched prefix and suffix must
+//! reproduce the requirements of every chunk width and of the rescan
+//! oracle exactly.
 
 use dvafs_executor::Executor;
 use dvafs_nn::dataset::SyntheticDataset;
-use dvafs_nn::kernel::{BatchPath, NnKernel, Scratch};
-use dvafs_nn::layers::{Conv2d, Dense, Layer};
+use dvafs_nn::kernel::{NnKernel, Scratch};
+use dvafs_nn::layers::{Conv2d, Dense, Layer, LayerStats};
 use dvafs_nn::network::{Network, QuantConfig};
 use dvafs_nn::precision::{Operand, PrecisionSearch, SearchStrategy};
 use dvafs_nn::tensor::Tensor;
 use proptest::prelude::*;
 
 /// A small conv-pool-dense cascade (the fig6 shape in miniature).
-fn tiny_net(seed: u64, kernel: NnKernel, path: BatchPath, batch: usize) -> Network {
+fn tiny_net(seed: u64, kernel: NnKernel, batch: usize) -> Network {
     Network::new(
         "tiny",
         vec![
@@ -32,7 +32,6 @@ fn tiny_net(seed: u64, kernel: NnKernel, path: BatchPath, batch: usize) -> Netwo
         ],
     )
     .with_kernel(kernel)
-    .with_batch_path(path)
     .with_batch_size(batch)
 }
 
@@ -42,21 +41,54 @@ fn images(count: usize, seed: u64) -> Vec<Tensor> {
         .collect()
 }
 
+/// Runs `inputs` through `net.forward_batch` in chunks of `batch`.
+fn forward_chunked(
+    net: &Network,
+    inputs: &[Tensor],
+    cfg: &QuantConfig,
+    batch: usize,
+) -> Vec<(Tensor, Vec<LayerStats>)> {
+    let mut scratch = Scratch::new();
+    inputs
+        .chunks(batch)
+        .flat_map(|chunk| {
+            net.forward_batch(chunk, cfg, &mut scratch)
+                .expect("inference succeeds")
+        })
+        .collect()
+}
+
+/// Outputs bitwise and statistics exactly equal, sample by sample.
+fn assert_same_results(
+    oracle: &[(Tensor, Vec<LayerStats>)],
+    got: &[(Tensor, Vec<LayerStats>)],
+    what: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(oracle.len(), got.len());
+    for ((out_o, st_o), (out_g, st_g)) in oracle.iter().zip(got) {
+        prop_assert_eq!(st_o, st_g, "{} statistics diverged", what);
+        prop_assert_eq!(out_o.shape(), out_g.shape(), "{} shape diverged", what);
+        let ob: Vec<u32> = out_o.as_slice().iter().map(|v| v.to_bits()).collect();
+        let gb: Vec<u32> = out_g.as_slice().iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(ob, gb, "{} outputs diverged bitwise", what);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// `forward_batch`: outputs and per-layer statistics bitwise equal
-    /// across both paths for every kernel, any chunk width (including a
-    /// single sample and widths past the fusable guard).
+    /// `forward_batch`: outputs and per-layer statistics bitwise equal to
+    /// the naive oracle for a chunk of one, a ragged chunk width, and the
+    /// whole set as one chunk.
     #[test]
     fn forward_batch_paths_agree_bitwise(
         seed in any::<u64>(),
         count in 1usize..=7,
-        kernel_idx in 0usize..3,
+        batch in 1usize..=9,
         wbits in 1u32..=16,
         abits in 1u32..=16,
     ) {
-        let kernel = NnKernel::ALL[kernel_idx];
         let imgs = images(count, seed ^ 0xba7c);
         let cfg = {
             let mut cfg = QuantConfig::uniform(6, 16, 16);
@@ -64,64 +96,52 @@ proptest! {
             cfg.set_layer(3, abits, wbits);
             cfg
         };
-        let sample = tiny_net(seed, kernel, BatchPath::SampleMajor, count);
-        let layer = tiny_net(seed, kernel, BatchPath::LayerMajor, count);
-        let oracle = sample
-            .forward_batch(&imgs, &cfg, &mut Scratch::new())
-            .expect("oracle inference");
-        let fused = layer
-            .forward_batch(&imgs, &cfg, &mut Scratch::new())
-            .expect("fused inference");
-        prop_assert_eq!(oracle.len(), fused.len());
-        for ((out_s, st_s), (out_l, st_l)) in oracle.iter().zip(fused.iter()) {
-            prop_assert_eq!(st_s, st_l, "statistics diverged");
-            prop_assert_eq!(out_s.shape(), out_l.shape(), "shape diverged");
-            let sb: Vec<u32> = out_s.as_slice().iter().map(|v| v.to_bits()).collect();
-            let lb: Vec<u32> = out_l.as_slice().iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(sb, lb, "outputs diverged bitwise");
+        let oracle = forward_chunked(&tiny_net(seed, NnKernel::Naive, 1), &imgs, &cfg, count);
+        let packed = tiny_net(seed, NnKernel::GemmPacked, batch);
+        for b in [1, batch, count] {
+            let got = forward_chunked(&packed, &imgs, &cfg, b);
+            assert_same_results(&oracle, &got, &format!("B = {b}"))?;
         }
     }
 
-    /// `evaluate_batch` / `predict_all_with`: same argmaxes on both paths
-    /// over the batch boundaries that matter — B = 1, non-dividing B,
-    /// B > sample count (all reachable from the ranges) — and thread
-    /// counts 1..=8.
+    /// `evaluate_batch` / `predict_all_with`: the same argmaxes at B = 1,
+    /// at any B — non-dividing and B > sample count are both reachable
+    /// from the ranges — and on the naive oracle, for thread counts
+    /// 1..=8.
     #[test]
     fn predictions_agree_across_batch_sizes_and_threads(
         seed in any::<u64>(),
         count in 1usize..=9,
         batch in 1usize..=12,
         threads in 1usize..=8,
-        kernel_idx in 0usize..3,
         bits in 1u32..=16,
     ) {
-        let kernel = NnKernel::ALL[kernel_idx];
         let data = SyntheticDataset::new(count, 4, 1, 12, 12, seed ^ 0xd0d0);
         let cfg = QuantConfig::uniform(6, bits, bits);
-        let sample = tiny_net(seed, kernel, BatchPath::SampleMajor, batch);
-        let layer = tiny_net(seed, kernel, BatchPath::LayerMajor, batch);
-        let oracle = sample
+        let oracle = tiny_net(seed, NnKernel::Naive, 1)
             .evaluate_batch(data.images(), &cfg, &mut Scratch::new())
             .expect("oracle inference");
-        let fused = layer
-            .evaluate_batch(data.images(), &cfg, &mut Scratch::new())
-            .expect("fused inference");
-        prop_assert_eq!(&oracle, &fused, "evaluate_batch diverged");
         let exec = Executor::new(threads);
-        let parallel_sample = sample
-            .predict_all_with(&data, &cfg, &exec)
-            .expect("parallel oracle inference");
-        let parallel_layer = layer
-            .predict_all_with(&data, &cfg, &exec)
-            .expect("parallel fused inference");
-        prop_assert_eq!(&oracle, &parallel_sample, "parallel sample-major diverged");
-        prop_assert_eq!(&oracle, &parallel_layer, "parallel layer-major diverged");
+        for net in [
+            tiny_net(seed, NnKernel::GemmPacked, 1),
+            tiny_net(seed, NnKernel::GemmPacked, batch),
+        ] {
+            let b = net.batch_size();
+            let serial = net
+                .evaluate_batch(data.images(), &cfg, &mut Scratch::new())
+                .expect("serial inference");
+            prop_assert_eq!(&oracle, &serial, "evaluate_batch diverged at B = {}", b);
+            let parallel = net
+                .predict_all_with(&data, &cfg, &exec)
+                .expect("parallel inference");
+            prop_assert_eq!(&oracle, &parallel, "predict_all_with diverged at B = {}", b);
+        }
     }
 
-    /// The incremental precision search on `LayerMajor` (batched prefix
-    /// pass, batched candidate layer, batched suffix) reproduces the
-    /// per-sample scan's `LayerRequirement`s exactly, which in turn match
-    /// the rescan oracle.
+    /// The incremental precision search (batched prefix pass, batched
+    /// candidate layer, batched suffix) reproduces the rescan oracle's
+    /// `LayerRequirement`s exactly at B = 1 and at any other chunk width,
+    /// and so does the naive kernel.
     #[test]
     fn precision_search_agrees_across_paths(
         seed in any::<u64>(),
@@ -134,14 +154,18 @@ proptest! {
         let exec = Executor::new(threads);
         let search = PrecisionSearch::new().with_target(0.9);
         let mut results = Vec::new();
-        for path in BatchPath::ALL {
+        for (kernel, b) in [
+            (NnKernel::Naive, 1),
+            (NnKernel::GemmPacked, 1),
+            (NnKernel::GemmPacked, batch),
+        ] {
             for strategy in SearchStrategy::ALL {
-                let net = tiny_net(seed, NnKernel::GemmPacked, path, batch);
+                let net = tiny_net(seed, kernel, b);
                 results.push(search.with_strategy(strategy).search_with(&net, &data, op, &exec));
             }
         }
         for r in &results[1..] {
-            prop_assert_eq!(&results[0], r, "search diverged across path/strategy");
+            prop_assert_eq!(&results[0], r, "search diverged across kernel/batch/strategy");
         }
     }
 }
@@ -149,13 +173,14 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// One `Conv2d` layer over random geometry through the layer-major
-    /// fused batch: channel counts 1..=5 and kernels 1..=5 (odd `k·c`
-    /// tap runs straddle `X2`/`X4` lane words), strides 1..=5, padding
-    /// 0..=5 (padding >= kernel included, so whole output rows read
-    /// only padding), batches 1..=5, and widths 1..=16 on both operands
-    /// (every `SubwordMode`). Outputs and `LayerStats` must equal the
-    /// naive kernel's bit for bit on both GEMM kernels.
+    /// One `Conv2d` layer over random geometry through the batched
+    /// forward: channel counts 1..=5 and kernels 1..=5 (odd `k·c` tap
+    /// runs straddle `X2`/`X4` lane words), strides 1..=5, padding 0..=5
+    /// (padding >= kernel included, so whole output rows read only
+    /// padding), batches 1..=5, and widths 1..=16 on both operands (every
+    /// `SubwordMode`). Outputs and `LayerStats` must equal the naive
+    /// kernel's bit for bit, for the whole batch as one chunk and for
+    /// every sample as a chunk of one.
     #[test]
     fn conv_batch_random_geometry_matches_naive(
         seed in any::<u64>(),
@@ -184,61 +209,46 @@ proptest! {
             .collect();
         let cfg = QuantConfig::uniform(1, wbits, abits);
         let conv = Conv2d::random(in_c, out_c, k, stride, padding, seed);
-        let net = |kernel| {
-            Network::new("conv", vec![Layer::Conv2d(conv.clone())])
-                .with_kernel(kernel)
-                .with_batch_path(BatchPath::LayerMajor)
-                .with_batch_size(b)
-        };
-        let oracle = net(NnKernel::Naive)
-            .forward_batch(&imgs, &cfg, &mut Scratch::new())
-            .expect("naive inference");
-        for kernel in [NnKernel::Gemm, NnKernel::GemmPacked] {
-            let got = net(kernel)
-                .forward_batch(&imgs, &cfg, &mut Scratch::new())
-                .expect("gemm inference");
-            prop_assert_eq!(oracle.len(), got.len());
-            for ((out_n, st_n), (out_g, st_g)) in oracle.iter().zip(got.iter()) {
-                prop_assert_eq!(st_n, st_g, "{} statistics diverged", kernel);
-                prop_assert_eq!(out_n.shape(), out_g.shape());
-                let nb: Vec<u32> = out_n.as_slice().iter().map(|v| v.to_bits()).collect();
-                let gb: Vec<u32> = out_g.as_slice().iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!(nb, gb, "{} outputs diverged bitwise", kernel);
-            }
-        }
+        let net = |kernel| Network::new("conv", vec![Layer::Conv2d(conv.clone())]).with_kernel(kernel);
+        let oracle = forward_chunked(&net(NnKernel::Naive), &imgs, &cfg, b);
+        let packed = net(NnKernel::GemmPacked);
+        assert_same_results(&oracle, &forward_chunked(&packed, &imgs, &cfg, b), "batched")?;
+        assert_same_results(&oracle, &forward_chunked(&packed, &imgs, &cfg, 1), "B = 1")?;
     }
 }
 
-/// The boundary widths pinned explicitly: B = 1 (every chunk degenerates
-/// to the per-sample path), B that does not divide the sample count
-/// (ragged tail), and B past the sample count (one short chunk).
+/// The boundary widths pinned explicitly: B = 1 (every chunk holds one
+/// sample), B that does not divide the sample count (ragged tail), and B
+/// past the sample count (one short chunk).
 #[test]
 fn explicit_batch_boundaries_agree() {
     let data = SyntheticDataset::new(7, 4, 1, 12, 12, 404);
     let cfg = QuantConfig::uniform(6, 8, 8);
-    let oracle = tiny_net(17, NnKernel::GemmPacked, BatchPath::SampleMajor, 7)
+    let oracle = tiny_net(17, NnKernel::Naive, 7)
         .evaluate_batch(data.images(), &cfg, &mut Scratch::new())
         .expect("oracle inference");
     for batch in [1usize, 3, 7, 16] {
-        let fused = tiny_net(17, NnKernel::GemmPacked, BatchPath::LayerMajor, batch)
+        let fused = tiny_net(17, NnKernel::GemmPacked, batch)
             .evaluate_batch(data.images(), &cfg, &mut Scratch::new())
             .expect("fused inference");
         assert_eq!(oracle, fused, "batch size {batch} moved a prediction");
     }
 }
 
-/// The path is execution strategy, not model identity: it defaults to
-/// layer-major, never participates in equality, and `batch_size == 0`
-/// reads as the default chunk width.
+/// The batch size is execution strategy, not model identity: it never
+/// participates in equality, defaults to [`DEFAULT_BATCH_SIZE`], and
+/// `batch_size == 0` reads as the default chunk width.
+///
+/// [`DEFAULT_BATCH_SIZE`]: dvafs_nn::DEFAULT_BATCH_SIZE
 #[test]
 fn batch_path_is_execution_strategy_only() {
-    let a = tiny_net(5, NnKernel::GemmPacked, BatchPath::SampleMajor, 1);
-    let b = tiny_net(5, NnKernel::GemmPacked, BatchPath::LayerMajor, 9);
-    assert_eq!(a, b, "batch path/size must not affect network identity");
+    let a = tiny_net(5, NnKernel::GemmPacked, 1);
+    let b = tiny_net(5, NnKernel::Naive, 9);
+    assert_eq!(a, b, "kernel/batch size must not affect network identity");
     assert_eq!(
-        Network::new("n", vec![Layer::ReLU]).batch_path(),
-        BatchPath::LayerMajor
+        Network::new("n", vec![Layer::ReLU]).batch_size(),
+        dvafs_nn::DEFAULT_BATCH_SIZE
     );
-    let zero = tiny_net(5, NnKernel::GemmPacked, BatchPath::LayerMajor, 0);
+    let zero = tiny_net(5, NnKernel::GemmPacked, 0);
     assert_eq!(zero.batch_size(), dvafs_nn::DEFAULT_BATCH_SIZE);
 }

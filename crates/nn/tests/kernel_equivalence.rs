@@ -1,6 +1,5 @@
-//! The kernel-layer equivalence net: the blocked-GEMM MAC kernel *and*
-//! the subword-packed GEMM kernel must be **bit-identical** to the
-//! retained naive oracle — outputs *and* the `zero_weight`/`zero_act`
+//! The kernel-layer equivalence net: the subword-packed GEMM kernel must
+//! be **bit-identical** to the retained naive oracle — outputs *and* the `zero_weight`/`zero_act`
 //! guard-skip counters — over random layer geometries, including the
 //! degenerate ones (padding at or beyond the kernel size, stride larger
 //! than the kernel, 1x1 kernels), across mixed 1..=16-bit operand widths
@@ -18,31 +17,29 @@ use dvafs_nn::network::QuantConfig;
 use dvafs_nn::tensor::Tensor;
 use proptest::prelude::*;
 
-/// Runs one layer on every kernel and asserts bitwise-equal outputs and
+/// Runs one layer on both kernels and asserts bitwise-equal outputs and
 /// equal statistics against the naive oracle.
 fn assert_kernels_agree(layer: &Layer, input: &Tensor, wbits: u32, abits: u32) {
     let mut scratch = Scratch::new();
     let naive = layer.forward_with(input, wbits, abits, NnKernel::Naive, &mut scratch);
-    for kernel in [NnKernel::Gemm, NnKernel::GemmPacked] {
-        let other = layer.forward_with(input, wbits, abits, kernel, &mut scratch);
-        match (&naive, other) {
-            (Ok((out_n, st_n)), Ok((out_g, st_g))) => {
-                assert_eq!(*st_n, st_g, "{kernel}: statistics diverged");
-                let nb: Vec<u32> = out_n.as_slice().iter().map(|v| v.to_bits()).collect();
-                let gb: Vec<u32> = out_g.as_slice().iter().map(|v| v.to_bits()).collect();
-                assert_eq!(out_n.shape(), out_g.shape(), "{kernel}: shape diverged");
-                assert_eq!(nb, gb, "{kernel}: outputs diverged bitwise");
-            }
-            (Err(_), Err(_)) => {} // both reject — also agreement
-            (n, g) => panic!("kernels disagree on fallibility: naive={n:?} {kernel}={g:?}"),
+    let packed = layer.forward_with(input, wbits, abits, NnKernel::GemmPacked, &mut scratch);
+    match (naive, packed) {
+        (Ok((out_n, st_n)), Ok((out_g, st_g))) => {
+            assert_eq!(st_n, st_g, "statistics diverged");
+            let nb: Vec<u32> = out_n.as_slice().iter().map(|v| v.to_bits()).collect();
+            let gb: Vec<u32> = out_g.as_slice().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(out_n.shape(), out_g.shape(), "shape diverged");
+            assert_eq!(nb, gb, "outputs diverged bitwise");
         }
+        (Err(_), Err(_)) => {} // both reject — also agreement
+        (n, g) => panic!("kernels disagree on fallibility: naive={n:?} packed={g:?}"),
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Conv2d: Naive == Gemm == GemmPacked over random channels x kernel
+    /// Conv2d: Naive == GemmPacked over random channels x kernel
     /// x stride x padding x precision, with the degenerate geometries
     /// explicitly in range (padding >= kernel, stride > kernel, 1x1
     /// kernels). Independent 1..=16-bit weight/activation widths drive
@@ -89,8 +86,7 @@ proptest! {
         }
     }
 
-    /// Dense: Naive == Gemm == GemmPacked over random widths and
-    /// precisions.
+    /// Dense: Naive == GemmPacked over random widths and precisions.
     #[test]
     fn dense_gemm_matches_naive(
         seed in any::<u64>(),
@@ -104,8 +100,8 @@ proptest! {
         assert_kernels_agree(&layer, &input, wbits, abits);
     }
 
-    /// Whole-network agreement: same predictions and bitwise-equal logits
-    /// on all three kernels, serial or parallel, batched or not.
+    /// Whole-network agreement: same predictions on both kernels, serial
+    /// or parallel, batched or one sample at a time.
     #[test]
     fn network_gemm_matches_naive_end_to_end(
         seed in any::<u64>(),
@@ -115,30 +111,26 @@ proptest! {
         let data = SyntheticDataset::digits(6, seed ^ 3);
         let cfg_bits = bits;
         let naive = models::lenet5(seed).with_kernel(NnKernel::Naive);
-        let gemm = models::lenet5(seed).with_kernel(NnKernel::Gemm);
         let packed = models::lenet5(seed).with_kernel(NnKernel::GemmPacked);
+        let single = models::lenet5(seed).with_batch_size(1);
         let cfg = QuantConfig::uniform(naive.layer_count(), cfg_bits, cfg_bits);
         let serial = naive.predict_all(&data, &cfg).expect("naive inference");
-        let batched = gemm
-            .evaluate_batch(data.images(), &cfg, &mut Scratch::new())
-            .expect("batched gemm inference");
-        let parallel = gemm
-            .predict_all_with(&data, &cfg, &Executor::new(threads))
-            .expect("parallel gemm inference");
         let packed_batched = packed
             .evaluate_batch(data.images(), &cfg, &mut Scratch::new())
             .expect("batched packed inference");
         let packed_parallel = packed
             .predict_all_with(&data, &cfg, &Executor::new(threads))
             .expect("parallel packed inference");
-        prop_assert_eq!(&serial, &batched);
-        prop_assert_eq!(&serial, &parallel);
+        let single_parallel = single
+            .predict_all_with(&data, &cfg, &Executor::new(threads))
+            .expect("parallel single-sample inference");
         prop_assert_eq!(&serial, &packed_batched);
         prop_assert_eq!(&serial, &packed_parallel);
+        prop_assert_eq!(&serial, &single_parallel);
     }
 
     /// Mixed per-layer widths (the fig6 scan shape: one layer reduced,
-    /// the rest at full precision) keep all three kernels bit-identical —
+    /// the rest at full precision) keep both kernels bit-identical —
     /// this is precisely the asymmetric X2/X4-against-X1 panel pairing of
     /// the packed kernel.
     #[test]
@@ -192,8 +184,8 @@ fn pruning_invalidates_weight_memoization() {
             .1
     };
     // Warm the cache at 8 bits; the second pass is the memoized hit.
-    let before = fwd(&layer, NnKernel::Gemm);
-    let again = fwd(&layer, NnKernel::Gemm);
+    let before = fwd(&layer, NnKernel::GemmPacked);
+    let again = fwd(&layer, NnKernel::GemmPacked);
     assert_eq!(before, again, "memoized pass must not move a number");
 
     // Prune half the weights to zero; the counters must change.
@@ -204,14 +196,14 @@ fn pruning_invalidates_weight_memoization() {
     for w in conv.weights_mut().iter_mut().take(n / 2) {
         *w = 0.0;
     }
-    let after = fwd(&layer, NnKernel::Gemm);
+    let after = fwd(&layer, NnKernel::GemmPacked);
     assert!(
         after.zero_weight_macs > before.zero_weight_macs,
         "pruned weights must raise the zero-weight count ({} -> {})",
         before.zero_weight_macs,
         after.zero_weight_macs
     );
-    // And the re-packed Gemm stats still match the never-cached oracle.
+    // And the re-packed stats still match the never-cached oracle.
     assert_eq!(after, fwd(&layer, NnKernel::Naive));
 }
 

@@ -1,24 +1,22 @@
-//! Blocked integer GEMM primitives for quantized MAC workloads.
+//! Subword-packed integer GEMM for quantized MAC workloads.
 //!
 //! The DVAFS claim is that reduced-precision MAC *arrays* are cheap; this
 //! module is the software mirror of that array: instead of issuing one
 //! guarded multiply-accumulate at a time (the naive 7-deep convolution
-//! loop), operands are packed into dense `i16` panels and consumed by a
-//! tiled matrix-matrix product with exact 64-bit accumulation.
+//! loop), operands are packed into dense lane-word panels and consumed by
+//! a tiled matrix-matrix product with exact 64-bit accumulation.
 //!
-//! Exactness is the load-bearing property: every product of two `i16`
-//! operands fits `i32`, a *pair* of such products still fits `i32`
-//! (`2 * 32767^2 < 2^31`), and the pair sums are folded into `i64`
-//! accumulators. Integer addition is associative, so any tiling or
-//! unrolling order yields bit-identical results to the scalar reference
-//! loop — which is what lets `dvafs-nn` swap its naive layer loops for
-//! [`gemm_i16`] without moving a single output, and what the
-//! `Naive == Gemm` property tests assert.
+//! Exactness is the load-bearing property: every output is the exact
+//! mathematical dot product, so any tiling or unrolling order yields
+//! bit-identical results to the scalar reference loop — which is what
+//! lets `dvafs-nn` swap its naive layer loops for [`gemm_packed`] without
+//! moving a single output, and what the `Naive == GemmPacked` property
+//! tests assert.
 //!
 //! The layout convention is dot-product friendly: the left operand `A` is
 //! `m x k` row-major and the right operand is handed over **already
 //! transposed** (`Bᵗ`, `n x k` row-major — e.g. one im2col patch per row),
-//! so every inner product walks two contiguous slices.
+//! so every inner product walks two contiguous rows.
 //!
 //! ## Subword-packed panels
 //!
@@ -47,11 +45,10 @@
 //!   operands do does the kernel count the overflowing cross-terms and
 //!   add back `2^32` per occurrence.
 //!
-//! The result is bit-identical to [`dot_i16`]/[`gemm_i16`] for every
-//! input `pack_lanes` accepts, which is what lets the `GemmPacked` NN
-//! kernel join the `Naive == Gemm` equivalence net without moving a
-//! number. On x86-64 hosts with AVX2 (a run-time feature check: the
-//! workspace targets baseline x86-64) the multiply runs as a
+//! The result is the exact `i64` dot product of the re-expanded lanes for
+//! every input `pack_lanes` accepts (the unit tests pin it against a
+//! naive triple loop). On x86-64 hosts with AVX2 (a run-time feature
+//! check: the workspace targets baseline x86-64) the multiply runs as a
 //! register-tiled micro-kernel: every 16-lane step loads and decodes a
 //! block of weight rows and a block of activation rows **once** and
 //! issues one `vpmaddwd` per row pair, so each decode serves a whole row
@@ -59,84 +56,6 @@
 //! scalar decode loop computes the same exact sums one output at a time.
 
 use dvafs_arith::SubwordMode;
-
-/// Output columns per tile of [`gemm_i16`]: one `Bᵗ` tile of
-/// `COL_TILE x k` operands stays cache-resident while every row of `A`
-/// streams against it.
-pub const COL_TILE: usize = 32;
-
-/// Exact dot product of two `i16` slices with 64-bit accumulation.
-///
-/// Every `i16 x i16` product fits `i32` (even `MIN x MIN = 2^30`); each
-/// product is widened to `i64` before summation — a *pair* of extreme
-/// products would overflow a pairwise `i32` sum by exactly one, the
-/// classic `pmaddwd` saturation corner — and folded into two independent
-/// `i64` accumulators. The result is the exact mathematical dot product
-/// regardless of length or unrolling.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-#[inline]
-#[must_use]
-pub fn dot_i16(a: &[i16], b: &[i16]) -> i64 {
-    assert_eq!(a.len(), b.len(), "dot operands must have equal length");
-    let mut acc0 = 0i64;
-    let mut acc1 = 0i64;
-    let mut ca = a.chunks_exact(8);
-    let mut cb = b.chunks_exact(8);
-    for (x, y) in (&mut ca).zip(&mut cb) {
-        let p0 = i64::from(i32::from(x[0]) * i32::from(y[0]))
-            + i64::from(i32::from(x[1]) * i32::from(y[1]));
-        let p1 = i64::from(i32::from(x[2]) * i32::from(y[2]))
-            + i64::from(i32::from(x[3]) * i32::from(y[3]));
-        let p2 = i64::from(i32::from(x[4]) * i32::from(y[4]))
-            + i64::from(i32::from(x[5]) * i32::from(y[5]));
-        let p3 = i64::from(i32::from(x[6]) * i32::from(y[6]))
-            + i64::from(i32::from(x[7]) * i32::from(y[7]));
-        acc0 += p0 + p1;
-        acc1 += p2 + p3;
-    }
-    for (&x, &y) in ca.remainder().iter().zip(cb.remainder()) {
-        acc0 += i64::from(x) * i64::from(y);
-    }
-    acc0 + acc1
-}
-
-/// Blocked integer GEMM: `out[i][j] = Σ_t a[i][t] * bt[j][t]`, exact in
-/// `i64`.
-///
-/// * `a` is `m x k` row-major (e.g. one quantized filter per row);
-/// * `bt` is the **transposed** right operand, `n x k` row-major (e.g. one
-///   im2col patch per row);
-/// * `out` is `m x n` row-major and is fully overwritten.
-///
-/// Columns are processed in [`COL_TILE`]-wide tiles so the active slice of
-/// `bt` stays cache-hot while all `m` rows of `a` stream against it. The
-/// accumulation is exact, so the tiling never changes a value.
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with the given dimensions.
-pub fn gemm_i16(a: &[i16], bt: &[i16], m: usize, k: usize, n: usize, out: &mut [i64]) {
-    assert_eq!(a.len(), m * k, "A must be m x k");
-    assert_eq!(bt.len(), n * k, "Bt must be n x k");
-    assert_eq!(out.len(), m * n, "out must be m x n");
-    if k == 0 {
-        out.fill(0);
-        return;
-    }
-    for (tile, bt_tile) in bt.chunks(COL_TILE * k).enumerate() {
-        let j0 = tile * COL_TILE;
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let out_row = &mut out[i * n + j0..];
-            for (jj, b_row) in bt_tile.chunks_exact(k).enumerate() {
-                out_row[jj] = dot_i16(a_row, b_row);
-            }
-        }
-    }
-}
 
 /// Logical lanes one packed dot step consumes (and the lane count panel
 /// rows are zero-padded to): 16 lanes per step means one full 256-bit
@@ -151,8 +70,8 @@ pub const PACK_STEP_LANES: usize = 16;
 /// Each row holds `k` logical operands as 16-bit lane words following the
 /// field rules of `dvafs_arith::subword::pack_lanes`: `mode.lanes()`
 /// two's-complement fields of `mode.lane_bits()` each, lane 0 at the
-/// LSBs. `X1` stores one operand per word (the [`gemm_i16`] layout bit
-/// for bit), `X2` two, `X4` four. Rows are padded with zero lanes to a
+/// LSBs. `X1` stores one operand per word (the operand's `i16` bits),
+/// `X2` two, `X4` four. Rows are padded with zero lanes to a
 /// multiple of [`PACK_STEP_LANES`], so two panels of equal `k` always
 /// walk the same step count regardless of their (possibly different)
 /// modes — which is how a 4-bit weight panel dots against a 16-bit
@@ -946,9 +865,8 @@ mod avx2 {
     }
 }
 
-/// Exact dot product of row `ai` of `a` with row `bi` of `b` — the
-/// packed mirror of [`dot_i16`], bit-identical to it on the re-expanded
-/// lanes. On AVX2 hosts this is the `1 x 1` instance of the
+/// Exact dot product of row `ai` of `a` with row `bi` of `b` over the
+/// re-expanded lanes. On AVX2 hosts this is the `1 x 1` instance of the
 /// [`gemm_packed`] tile.
 ///
 /// # Panics
@@ -977,8 +895,7 @@ pub fn dot_packed(a: &PackedPanel, ai: usize, b: &PackedPanel, bi: usize) -> i64
 }
 
 /// Subword-packed GEMM: `out[i][j] = Σ_t a[i][t] * bt[j][t]`, exact in
-/// `i64` — the packed mirror of [`gemm_i16`] (same layout convention,
-/// bit-identical results on the re-expanded lanes).
+/// `i64` over the re-expanded lanes.
 ///
 /// On AVX2 hosts the output is covered by register tiles of 2 rows of
 /// `a` by 2 (`X1 x X1`) or 4 (every other mode pair) rows of `bt`, with
@@ -1000,8 +917,8 @@ pub fn dot_packed(a: &PackedPanel, ai: usize, b: &PackedPanel, bi: usize) -> i64
 /// the same exact dot either way, so a fused multi-sample multiply is
 /// bit-identical to `B` separate ones while streaming the left (weight)
 /// panel through cache once per batch instead of once per sample
-/// (`dvafs-nn`'s `BatchPath::LayerMajor` forward is built on exactly
-/// this; the concatenation-equivalence test below pins it).
+/// (`dvafs-nn`'s batched forward is built on exactly this; the
+/// concatenation-equivalence test below pins it).
 ///
 /// # Panics
 ///
@@ -1043,11 +960,11 @@ mod tests {
         out
     }
 
-    fn random_panel(len: usize, seed: u64) -> Vec<i16> {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        (0..len)
-            .map(|_| rng.gen_range(-32768..=32767) as i16)
-            .collect()
+    fn naive_dot(a: &[i16], b: &[i16]) -> i64 {
+        a.iter()
+            .zip(b)
+            .map(|(&x, &y)| i64::from(x) * i64::from(y))
+            .sum()
     }
 
     /// Random values spanning the full two's-complement lane range of a
@@ -1060,79 +977,118 @@ mod tests {
         (0..len).map(|_| rng.gen_range(lo..=hi) as i16).collect()
     }
 
-    #[test]
-    fn dot_matches_reference_for_every_remainder_length() {
-        for len in 0..40 {
-            let a = random_panel(len, 1 + len as u64);
-            let b = random_panel(len, 100 + len as u64);
-            let expected: i64 = a
-                .iter()
-                .zip(&b)
-                .map(|(&x, &y)| i64::from(x) * i64::from(y))
-                .sum();
-            assert_eq!(dot_i16(&a, &b), expected, "len={len}");
-        }
+    /// One full-width (`X1`) row of `values` dotted with one of `other`.
+    fn dot_x1(values: &[i16], other: &[i16]) -> i64 {
+        let k = values.len();
+        let pa = PackedPanel::pack(values, 1, k, SubwordMode::X1);
+        let pb = PackedPanel::pack(other, 1, k, SubwordMode::X1);
+        dot_packed(&pa, 0, &pb, 0)
     }
 
     #[test]
+    fn dot_matches_reference_for_every_remainder_length() {
+        for len in 0..40 {
+            let a = random_lanes(len, SubwordMode::X1, 1 + len as u64);
+            let b = random_lanes(len, SubwordMode::X1, 100 + len as u64);
+            assert_eq!(dot_x1(&a, &b), naive_dot(&a, &b), "len={len}");
+        }
+    }
+
+    /// Every product at its maximal magnitude.
+    #[test]
     fn dot_extremes_do_not_overflow() {
-        // Worst case: every pair product is the maximal magnitude.
         let a = vec![i16::MIN; 1024];
-        let b = vec![i16::MIN; 1024];
-        assert_eq!(dot_i16(&a, &b), 1024 * (i64::from(i16::MIN)).pow(2));
+        assert_eq!(dot_x1(&a, &a), 1024 * (i64::from(i16::MIN)).pow(2));
         let c = vec![i16::MAX; 1024];
         assert_eq!(
-            dot_i16(&c, &a),
+            dot_x1(&c, &a),
             1024 * i64::from(i16::MAX) * i64::from(i16::MIN)
         );
     }
 
-    /// Full 8-lane unrolled blocks of `MIN x MIN`: every *pair* of
-    /// products sums to exactly `2^31`, one past `i32::MAX` — the
-    /// `pmaddwd` saturation corner the docs cite. The per-product `i64`
-    /// widening must come through exact for whole blocks of them (no
-    /// remainder loop involved).
+    /// Whole 8-lane blocks of `MIN x MIN` through the full-width (`X1`)
+    /// dot: every *pair* of products sums to exactly `2^31`, one past
+    /// `i32::MAX` — the `pmaddwd` saturation corner the docs cite — and
+    /// must come through exact with no remainder lanes involved.
     #[test]
     fn dot_i16_full_min_blocks_are_exact() {
         for blocks in [1usize, 2, 5, 16] {
             let n = 8 * blocks;
             let a = vec![i16::MIN; n];
-            assert_eq!(dot_i16(&a, &a), n as i64 * (1i64 << 30), "blocks={blocks}");
+            assert_eq!(dot_x1(&a, &a), n as i64 * (1i64 << 30), "blocks={blocks}");
         }
     }
 
+    const GEMM_SHAPES: [(usize, usize, usize); 5] = [
+        (1, 1, 1),
+        (3, 7, 5),
+        (8, 25, 33),
+        (4, 9, 32),
+        (2, 150, 70), // k longer than any unroll
+    ];
+
+    /// Full-width (`X1 x X1`, full `i16` range) `gemm_packed` equals the
+    /// naive triple loop across shapes.
     #[test]
     fn gemm_matches_naive_across_shapes() {
-        for (s, &(m, k, n)) in [
-            (1usize, 1usize, 1usize),
-            (3, 7, 5),
-            (8, 25, 33),  // n spills one past a COL_TILE boundary
-            (4, 9, 32),   // n exactly one tile
-            (2, 150, 70), // k longer than any unroll
-        ]
-        .iter()
-        .enumerate()
-        {
-            let a = random_panel(m * k, 7 + s as u64);
-            let bt = random_panel(n * k, 70 + s as u64);
+        for (s, &(m, k, n)) in GEMM_SHAPES.iter().enumerate() {
+            let a = random_lanes(m * k, SubwordMode::X1, 7 + s as u64);
+            let bt = random_lanes(n * k, SubwordMode::X1, 70 + s as u64);
+            let pa = PackedPanel::pack(&a, m, k, SubwordMode::X1);
+            let pbt = PackedPanel::pack(&bt, n, k, SubwordMode::X1);
             let mut out = vec![i64::MIN; m * n]; // poisoned: must be overwritten
-            gemm_i16(&a, &bt, m, k, n, &mut out);
+            gemm_packed(&pa, &pbt, &mut out);
             assert_eq!(out, naive_gemm(&a, &bt, m, k, n), "m={m} k={k} n={n}");
         }
     }
 
+    /// `gemm_packed` equals the naive `i16` triple loop across the same
+    /// shapes for every mode pair, mixed precision included (the NN
+    /// kernel equivalence net rests on this).
+    #[test]
+    fn gemm_packed_matches_gemm_i16_across_shapes_and_modes() {
+        for (s, &(m, k, n)) in GEMM_SHAPES.iter().enumerate() {
+            for &ma in &SubwordMode::ALL {
+                for &mb in &SubwordMode::ALL {
+                    let a = random_lanes(m * k, ma, 7 + s as u64);
+                    let bt = random_lanes(n * k, mb, 70 + s as u64);
+                    let pa = PackedPanel::pack(&a, m, k, ma);
+                    let pbt = PackedPanel::pack(&bt, n, k, mb);
+                    let mut out = vec![i64::MIN; m * n];
+                    gemm_packed(&pa, &pbt, &mut out);
+                    assert_eq!(
+                        out,
+                        naive_gemm(&a, &bt, m, k, n),
+                        "m={m} k={k} n={n} {ma}x{mb}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// `k == 0` overwrites a poisoned output with zeros for every mode
+    /// pair.
     #[test]
     fn gemm_zero_k_clears_output() {
-        let mut out = vec![5i64; 6];
-        gemm_i16(&[], &[], 2, 0, 3, &mut out);
-        assert_eq!(out, vec![0i64; 6]);
+        for &ma in &SubwordMode::ALL {
+            for &mb in &SubwordMode::ALL {
+                let a = PackedPanel::pack(&[], 2, 0, ma);
+                let bt = PackedPanel::pack(&[], 3, 0, mb);
+                let mut out = vec![5i64; 6];
+                gemm_packed(&a, &bt, &mut out);
+                assert_eq!(out, vec![0i64; 6], "{ma}x{mb}");
+                assert_eq!(dot_packed(&a, 1, &bt, 2), 0);
+            }
+        }
     }
 
     #[test]
-    #[should_panic(expected = "A must be m x k")]
+    #[should_panic(expected = "out must be m x n")]
     fn gemm_rejects_bad_dimensions() {
-        let mut out = vec![0i64; 4];
-        gemm_i16(&[0; 3], &[0; 4], 2, 2, 2, &mut out);
+        let a = PackedPanel::pack(&[0; 4], 2, 2, SubwordMode::X1);
+        let bt = PackedPanel::pack(&[0; 4], 2, 2, SubwordMode::X1);
+        let mut out = vec![0i64; 3];
+        gemm_packed(&a, &bt, &mut out);
     }
 
     /// The panel's word stream follows the `pack_lanes` field rules
@@ -1169,11 +1125,11 @@ mod tests {
         }
     }
 
-    /// Packed dots are bit-identical to [`dot_i16`] on the re-expanded
-    /// lanes, for every mode pair (including mixed precision) and ragged
-    /// lengths, with the full lane range (MIN included) in play.
+    /// Packed dots equal the naive dot of the re-expanded lanes, for
+    /// every mode pair (including mixed precision) and ragged lengths,
+    /// with the full lane range (MIN included) in play.
     #[test]
-    fn dot_packed_matches_dot_i16_for_every_mode_pair() {
+    fn dot_packed_matches_naive_dot_for_every_mode_pair() {
         for (i, &ma) in SubwordMode::ALL.iter().enumerate() {
             for (j, &mb) in SubwordMode::ALL.iter().enumerate() {
                 for k in [0usize, 1, 7, 16, 31, 150, 2049] {
@@ -1184,7 +1140,7 @@ mod tests {
                     let pb = PackedPanel::pack(&b, 1, k, mb);
                     assert_eq!(
                         dot_packed(&pa, 0, &pb, 0),
-                        dot_i16(&a, &b),
+                        naive_dot(&a, &b),
                         "modes {ma}x{mb} k={k}"
                     );
                 }
@@ -1207,8 +1163,8 @@ mod tests {
                 .map(|t| if t % 3 == 0 { i16::MIN } else { i16::MAX })
                 .collect();
             let pb = PackedPanel::pack(&b, 1, k, SubwordMode::X1);
-            assert_eq!(dot_packed(&pa, 0, &pb, 0), dot_i16(&a, &b), "mixed k={k}");
-            assert_eq!(dot_packed(&pb, 0, &pb, 0), dot_i16(&b, &b), "self k={k}");
+            assert_eq!(dot_packed(&pa, 0, &pb, 0), naive_dot(&a, &b), "mixed k={k}");
+            assert_eq!(dot_packed(&pb, 0, &pb, 0), naive_dot(&b, &b), "self k={k}");
         }
     }
 
@@ -1372,44 +1328,11 @@ mod tests {
         }
     }
 
-    /// `gemm_packed` is bit-identical to `gemm_i16` across shapes and
-    /// mode pairs (the NN kernel equivalence net rests on this).
-    #[test]
-    fn gemm_packed_matches_gemm_i16_across_shapes_and_modes() {
-        for (s, &(m, k, n)) in [
-            (1usize, 1usize, 1usize),
-            (3, 7, 5),
-            (8, 25, 33),
-            (4, 9, 32),
-            (2, 150, 70),
-        ]
-        .iter()
-        .enumerate()
-        {
-            for &ma in &SubwordMode::ALL {
-                for &mb in &SubwordMode::ALL {
-                    let a = random_lanes(m * k, ma, 7 + s as u64);
-                    let bt = random_lanes(n * k, mb, 70 + s as u64);
-                    let pa = PackedPanel::pack(&a, m, k, ma);
-                    let pbt = PackedPanel::pack(&bt, n, k, mb);
-                    let mut out = vec![i64::MIN; m * n];
-                    gemm_packed(&pa, &pbt, &mut out);
-                    assert_eq!(
-                        out,
-                        naive_gemm(&a, &bt, m, k, n),
-                        "m={m} k={k} n={n} {ma}x{mb}"
-                    );
-                }
-            }
-        }
-    }
-
     /// The wide-panel batch entry: one fused multiply over `B` samples'
     /// concatenated right-hand panels is bit-identical, slice by slice,
-    /// to `B` separate per-sample multiplies — for both the packed and
-    /// unpacked GEMMs, across mode pairs and a non-multiple-of-tile
-    /// total width. This is the property `dvafs-nn`'s layer-major
-    /// forward stands on.
+    /// to `B` separate per-sample multiplies, across mode pairs and a
+    /// non-multiple-of-tile total width. This is the property
+    /// `dvafs-nn`'s batched forward stands on.
     #[test]
     fn concatenated_wide_panel_matches_per_sample_gemms() {
         let (m, k, n, batches) = (5usize, 23usize, 13usize, 3usize);
@@ -1424,21 +1347,17 @@ mod tests {
                 let total = batches * n;
                 // Fused: one (B·n) x k right operand, one m x (B·n) output.
                 let pwide = PackedPanel::pack(&wide, total, k, mb);
-                let mut fused_packed = vec![i64::MIN; m * total];
-                gemm_packed(&pa, &pwide, &mut fused_packed);
-                let mut fused_plain = vec![i64::MIN; m * total];
-                gemm_i16(&a, &wide, m, k, total, &mut fused_plain);
+                let mut fused = vec![i64::MIN; m * total];
+                gemm_packed(&pa, &pwide, &mut fused);
                 // Per sample: B separate m x n multiplies.
                 for (s, bt) in samples.iter().enumerate() {
                     let pbt = PackedPanel::pack(bt, n, k, mb);
                     let mut solo = vec![i64::MIN; m * n];
                     gemm_packed(&pa, &pbt, &mut solo);
                     for i in 0..m {
-                        let fused_row = &fused_packed[i * total + s * n..][..n];
-                        let plain_row = &fused_plain[i * total + s * n..][..n];
+                        let fused_row = &fused[i * total + s * n..][..n];
                         let solo_row = &solo[i * n..][..n];
                         assert_eq!(fused_row, solo_row, "{ma}x{mb} sample {s} row {i}");
-                        assert_eq!(plain_row, solo_row, "{ma}x{mb} gemm_i16 sample {s}");
                     }
                 }
             }

@@ -115,93 +115,6 @@ impl ConvKernel {
             })
             .collect()
     }
-
-    /// An effective operand as the GEMM's `i16` lane value. The canonical
-    /// operands are 16-bit by construction ([`random`](Self::random)
-    /// draws from `-32768..=32767` and `effective` only narrows), so the
-    /// cast never wraps; the debug assertion pins that invariant for
-    /// hand-built kernels.
-    fn effective_i16(value: i32, bits: u32) -> i16 {
-        let e = Self::effective(value, bits);
-        debug_assert!(
-            i32::from(e as i16) == e,
-            "ConvKernel operands must be canonical 16-bit values (effective {e})"
-        );
-        e as i16
-    }
-
-    /// [`expected_outputs`](Self::expected_outputs) computed through the
-    /// blocked integer GEMM ([`crate::gemm`]) instead of the naive tap
-    /// loop: the sliding input windows are packed into an im2col panel
-    /// (one patch per row) and multiplied against the 1-row weight matrix.
-    /// Accumulation is exact in `i64`, so the result is bit-identical to
-    /// the naive reference — the `fig4`/`table2` scenarios assert the
-    /// cycle-level machine against whichever path the run selected.
-    #[must_use]
-    pub fn expected_outputs_gemm(&self, bits: u32, shift: u32, store_bits: u32) -> Vec<i32> {
-        let lo = -(1i64 << (store_bits - 1));
-        let hi = (1i64 << (store_bits - 1)) - 1;
-        let w: Vec<i16> = self
-            .weights
-            .iter()
-            .map(|&v| Self::effective_i16(v, bits))
-            .collect();
-        // im2col of the 1-D convolution: patch row o = inputs[o..o+taps].
-        let mut patches = Vec::with_capacity(self.outputs * self.taps);
-        for o in 0..self.outputs {
-            patches.extend(
-                self.inputs[o..o + self.taps]
-                    .iter()
-                    .map(|&v| Self::effective_i16(v, bits)),
-            );
-        }
-        let mut acc = vec![0i64; self.outputs];
-        crate::gemm::gemm_i16(&w, &patches, 1, self.taps, self.outputs, &mut acc);
-        acc.into_iter()
-            .map(|a| (a >> shift).clamp(lo, hi) as i32)
-            .collect()
-    }
-
-    /// [`expected_outputs`](Self::expected_outputs) computed through the
-    /// subword-packed GEMM ([`crate::gemm::gemm_packed`]): the same im2col
-    /// panels as [`expected_outputs_gemm`](Self::expected_outputs_gemm),
-    /// packed at the most-parallel [`SubwordMode`] the precision allows
-    /// ([`SubwordMode::for_precision`]). Effective operands span the full
-    /// `bits`-wide two's-complement range (`effective` can produce
-    /// `-2^(bits-1)`), which the packed panels accept by contract, so the
-    /// result stays bit-identical to the naive reference.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `bits` is outside `1..=16` (compilation validated it).
-    #[must_use]
-    pub fn expected_outputs_packed(&self, bits: u32, shift: u32, store_bits: u32) -> Vec<i32> {
-        let lo = -(1i64 << (store_bits - 1));
-        let hi = (1i64 << (store_bits - 1)) - 1;
-        let mode = SubwordMode::for_precision(
-            dvafs_arith::Precision::new(bits).expect("compiled precision is 1..=16"),
-        );
-        let w: Vec<i16> = self
-            .weights
-            .iter()
-            .map(|&v| Self::effective_i16(v, bits))
-            .collect();
-        let mut patches = Vec::with_capacity(self.outputs * self.taps);
-        for o in 0..self.outputs {
-            patches.extend(
-                self.inputs[o..o + self.taps]
-                    .iter()
-                    .map(|&v| Self::effective_i16(v, bits)),
-            );
-        }
-        let pw = crate::gemm::PackedPanel::pack(&w, 1, self.taps, mode);
-        let pp = crate::gemm::PackedPanel::pack(&patches, self.outputs, self.taps, mode);
-        let mut acc = vec![0i64; self.outputs];
-        crate::gemm::gemm_packed(&pw, &pp, &mut acc);
-        acc.into_iter()
-            .map(|a| (a >> shift).clamp(lo, hi) as i32)
-            .collect()
-    }
 }
 
 /// A kernel lowered to a program and memory image for one configuration.
@@ -514,22 +427,37 @@ mod tests {
         assert_eq!(c.bank_images[0].len(), 16);
     }
 
+    /// The naive tap-loop reference agrees with the same convolution run
+    /// as an im2col panel through the subword-packed GEMM at the mode the
+    /// precision selects — the data path the NN stack ships.
     #[test]
     fn gemm_reference_is_bit_identical_to_naive_reference() {
+        use crate::gemm::{gemm_packed, PackedPanel};
         let k = ConvKernel::random(13, 96, 9);
         for bits in [16u32, 12, 8, 4, 1] {
+            let mode = SubwordMode::for_precision(dvafs_arith::Precision::new(bits).unwrap());
+            let eff = |v: &i32| ConvKernel::effective(*v, bits) as i16;
+            let w: Vec<i16> = k.weights.iter().map(eff).collect();
+            let patches: Vec<i16> = (0..k.outputs)
+                .flat_map(|o| k.inputs[o..o + k.taps].iter().map(eff))
+                .collect();
+            let mut acc = vec![0i64; k.outputs];
+            gemm_packed(
+                &PackedPanel::pack(&w, 1, k.taps, mode),
+                &PackedPanel::pack(&patches, k.outputs, k.taps, mode),
+                &mut acc,
+            );
             for shift in [0u32, 7, 20] {
                 for store_bits in [16u32, 8] {
-                    let naive = k.expected_outputs(bits, shift, store_bits);
+                    let (lo, hi) = (-(1i64 << (store_bits - 1)), (1i64 << (store_bits - 1)) - 1);
+                    let packed: Vec<i32> = acc
+                        .iter()
+                        .map(|&a| (a >> shift).clamp(lo, hi) as i32)
+                        .collect();
                     assert_eq!(
-                        naive,
-                        k.expected_outputs_gemm(bits, shift, store_bits),
-                        "gemm: bits={bits} shift={shift} store={store_bits}"
-                    );
-                    assert_eq!(
-                        naive,
-                        k.expected_outputs_packed(bits, shift, store_bits),
-                        "packed: bits={bits} shift={shift} store={store_bits}"
+                        k.expected_outputs(bits, shift, store_bits),
+                        packed,
+                        "bits={bits} shift={shift} store={store_bits}"
                     );
                 }
             }

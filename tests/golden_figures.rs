@@ -94,8 +94,8 @@ fn fig6_vgg_matches_golden() {
 #[test]
 fn cnn_layerwise_matches_golden() {
     // The Section IV/V end-to-end flow (formerly the `cnn_layerwise`
-    // example). The batch forward path never moves a number, so this
-    // fixture also pins the sample-major oracle against the layer-major
-    // default (see crates/nn/tests/batch_equivalence.rs).
+    // example). The batch size never moves a number, so this fixture
+    // also pins a one-sample-at-a-time walk against the batched default
+    // (see crates/nn/tests/batch_equivalence.rs).
     assert_matches_golden("cnn_layerwise");
 }
