@@ -12,12 +12,13 @@
 //! `--fast` shrinks). `run` executes scenarios in registry order and
 //! either prints each rendering to stdout or, with `--out DIR`, writes
 //! one `<id>.<ext>` file per scenario (plus any scenario artifacts, e.g.
-//! `bench_sweep`'s `BENCH_sweep.json`). A JSON file written this way is
+//! `bench_sweep`'s `BENCH_sweep.json`, which land in the working directory
+//! when `--out` is absent). A JSON file written this way is
 //! byte-comparable to the golden fixtures under `tests/golden/`.
 //!
-//! Unlike the legacy shims, the CLI **warns on stderr about flags it does
-//! not recognize** and hard-errors when `--out`, `--format` or
-//! `--threads` is missing its value.
+//! The CLI **warns on stderr about flags it does not recognize** and
+//! hard-errors when a flag such as `--out`, `--format` or `--threads` is
+//! missing its value.
 
 use dvafs::nn::{NnKernel, SearchStrategy, DEFAULT_BATCH_SIZE};
 use dvafs::scenario::{self, Format, Scenario, ScenarioCtx};

@@ -5,9 +5,8 @@
 //! accuracy (Fig. 6 methodology), measures the sparsity the tuned
 //! network actually exhibits, then runs the layers on the Envision chip
 //! model at their individual operating points (Table III style) and
-//! compares against all-16-bit execution. Formerly the standalone
-//! `cnn_layerwise` example; the example remains as a shim over this
-//! scenario.
+//! compares against all-16-bit execution. Run it with
+//! `dvafs run cnn_layerwise`.
 
 use super::{DataTable, Scenario, ScenarioCtx, ScenarioResult};
 use crate::report::{fmt_f, TextTable};

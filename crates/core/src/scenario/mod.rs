@@ -9,16 +9,16 @@
 //!   label/title, and `run(&ScenarioCtx) -> ScenarioResult`;
 //! * [`ScenarioCtx`] — everything a run needs: the root seed, fast-mode,
 //!   and the deterministic parallel [`Executor`];
-//! * [`ScenarioResult`] — structured tables plus the legacy presentation
+//! * [`ScenarioResult`] — structured tables plus the presentation
 //!   text, rendered to text/JSON/CSV by the one generic serializer in
 //!   [`render`];
 //! * [`registry`] — the static table of all scenarios, in paper order.
 //!
 //! The `dvafs` CLI in `crates/bench` (`dvafs list`, `dvafs run <id>`) is a
-//! thin front-end over this module, and the legacy one-binary-per-figure
-//! entry points are shims that delegate here — their stdout is
-//! byte-identical to the pre-registry harness, which the smoke tests
-//! enforce by diffing subprocess output against [`render::render`].
+//! thin front-end over this module and the only way to run an experiment.
+//! Its text stdout is byte-identical to the pre-registry harness, which
+//! the smoke tests enforce by diffing `dvafs run <id>` output against
+//! [`render::render`] for every registered id.
 //!
 //! ## Determinism
 //!
@@ -54,7 +54,7 @@ pub use fig4::Fig4;
 pub use fig6::Fig6;
 pub use fig6_vgg::Fig6Vgg;
 pub use fig8::Fig8;
-pub use render::{banner_text, render, Format};
+pub use render::{render, Format};
 pub use result::{Artifact, DataTable, ScenarioResult, Value};
 pub use table1::Table1;
 pub use table2::Table2;
@@ -271,6 +271,11 @@ pub fn find(id: &str) -> Option<&'static dyn Scenario> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn seed_is_fixed() {
+        assert_eq!(EXPERIMENT_SEED, 0xDA7E2017);
+    }
 
     #[test]
     fn registry_ids_are_unique_and_findable() {

@@ -4,8 +4,8 @@
 //!
 //! Guarantees the test suite pins down:
 //!
-//! * **Text** is the legacy presentation: the experiment banner followed
-//!   by the byte-identical body the original figure binaries printed.
+//! * **Text** is the human presentation: the experiment banner followed
+//!   by the result's text body, exactly what `dvafs run <id>` prints.
 //! * **JSON** renders every [`DataTable`] as an array of row objects with
 //!   shortest-roundtrip floats — a single-table result is a bare array
 //!   (byte-identical to the pre-registry golden fixtures), a multi-table
@@ -21,7 +21,7 @@ use crate::report::TextTable;
 /// An output format of the `dvafs` CLI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Format {
-    /// Legacy presentation text (banner + tables + paper anchors).
+    /// Presentation text (banner + tables + paper anchors).
     Text,
     /// Machine-readable JSON (golden-fixture compatible).
     Json,
@@ -57,10 +57,9 @@ impl Format {
     }
 }
 
-/// The experiment banner every figure binary prints first (label is the
+/// The experiment banner a text rendering starts with (label is the
 /// paper artefact name, e.g. `"Fig. 2"`).
-#[must_use]
-pub fn banner_text(label: &str, title: &str) -> String {
+fn banner_text(label: &str, title: &str) -> String {
     format!("=== DVAFS reproduction | {label}: {title} ===\n\n")
 }
 

@@ -1,5 +1,5 @@
 //! The structured value a scenario produces: named data tables of typed
-//! cells, the legacy presentation text, and optional file artifacts.
+//! cells, the presentation text, and optional file artifacts.
 //!
 //! A [`ScenarioResult`] separates *data* from *presentation*:
 //!
@@ -7,10 +7,8 @@
 //!   rows that the generic serializer in [`super::render`] turns into
 //!   JSON, CSV or a plain text table, all three agreeing on shape and
 //!   values (a property the test suite asserts);
-//! * the *text body* is the human presentation the original figure
-//!   binaries printed (pivoted tables, paper anchors, custom decimal
-//!   counts) and is kept byte-identical so the legacy commands and smoke
-//!   tests never move;
+//! * the *text body* is the human presentation `dvafs run <id>` prints
+//!   (pivoted tables, paper anchors, custom decimal counts);
 //! * [`Artifact`]s are files a scenario asks the runner to write (only
 //!   `bench_sweep` uses this, for `BENCH_sweep.json`).
 
@@ -201,8 +199,8 @@ impl ScenarioResult {
         &self.tables
     }
 
-    /// The presentation text body (everything the legacy binary printed
-    /// after its banner).
+    /// The presentation text body (everything `dvafs run <id>` prints
+    /// after the banner).
     #[must_use]
     pub fn text(&self) -> &str {
         &self.text
